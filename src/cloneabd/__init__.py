@@ -18,8 +18,7 @@ from .lattice import (CloneId, classify_clone_counting,
                       classify_decision, clone_leq, function_in_clone,
                       identify_clone, parse_clone_name, set_in_clone,
                       signature_of, synthesize_representation)
-from .solvers import (count_full, count_method, enumerate_full, route_of,
-                      solve)
+from .solvers import count_full, enumerate_full, route_of, solve
 from .truthtable import (FunctionSet, TruthTable, parse_function_line,
                          parse_function_set, separating_degree)
 
@@ -32,7 +31,7 @@ __all__ = [
     "SolveOutcome", "TruthTable", "UnsupportedError", "Var",
     "classify_clone_counting", "classify_clone_decision",
     "classify_counting", "classify_decision", "clone_leq", "count_full",
-    "count_method", "eliminate_false", "eliminate_true",
+    "eliminate_false", "eliminate_true",
     "entails_manifestation", "enumerate_full", "eval_formula", "free_vars",
     "function_in_clone", "identify_clone", "is_explanation",
     "oracle_count_full", "oracle_enumerate", "oracle_solve",

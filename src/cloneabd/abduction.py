@@ -114,7 +114,6 @@ class SolveOutcome:
     method: str
     certificate_checked: bool = False
     candidates_tried: int = 0
-    sat_calls: int = 0
 
     def __post_init__(self) -> None:
         if self.found:

@@ -2,7 +2,7 @@
 verify, generate and repr subcommands with deterministic text/JSON output.
 
 Exit codes: 0 success, 1 definite negative answer, 2 input error, 3 resource
-budget exceeded.
+budget exceeded (including input nested too deeply to process).
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import random
 import sys
 from pathlib import Path
 
-from . import lattice, reductions, solvers
+from . import reductions, solvers
 from .abduction import (Explanation, entails_manifestation, is_explanation,
-                        oracle_count_full, oracle_enumerate, oracle_solve,
                         parse_instance, serialize_instance, _kb_sat)
 from .errors import (AbdError, InputError, NoRepresentationError,
                      ResourceBudgetError)
@@ -94,28 +93,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_with_method(inst, method: str, budget: int):
-    if method == "auto":
-        return solvers.solve(inst, budget)
-    if method == "oracle":
-        return oracle_solve(inst)
-    forced = {
-        "literal": solvers.solve_literal_kb,
-        "disjunctive": solvers.solve_disjunctive_kb,
-        "affine": solvers.solve_affine,
-    }
-    if method in forced:
-        return forced[method](inst)
-    if method == "monotone":
-        return solvers.solve_monotone(inst, budget)
-    if method == "general":
-        return solvers.solve_general(inst, budget)
-    raise InputError(f"unknown method {method!r}")
+def _instance_and_route(args: argparse.Namespace):
+    """The instance and the route named by --method (`auto`: the clone's)."""
+    inst = parse_instance(_read(args.instance))
+    if args.method == "auto":
+        return inst, solvers.route_of(inst)
+    return inst, args.method
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.instance))
-    outcome = _solve_with_method(inst, args.method, args.budget)
+    inst, route = _instance_and_route(args)
+    outcome = solvers.solve(inst, args.budget, route)
     payload = {
         "found": outcome.found,
         "explanation": (outcome.explanation.serialize()
@@ -132,22 +120,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.instance))
-    if args.method == "oracle":
-        count, method = oracle_count_full(inst), "oracle"
-    else:
-        count, method = solvers.count_full(inst), solvers.count_method(inst)
+    inst, route = _instance_and_route(args)
+    count = solvers.count_full(inst, route)
+    method = solvers.ROUTES[route].count_label
     _emit(args, {"count": count, "method": method, "exact": True},
           f"full explanations: {count} (method {method})")
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.instance))
-    if args.method == "oracle":
-        results = oracle_enumerate(inst)
-    else:
-        results = solvers.enumerate_full(inst)
+    inst, route = _instance_and_route(args)
+    results = solvers.enumerate_full(inst, route)
     if args.json:
         print(json.dumps({"explanations":
                           [e.serialize() for e in results]}, sort_keys=True))
@@ -327,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("instance", help="instance file")
         p.add_argument("--method", default="auto",
-                       choices=["auto", "oracle", "literal", "disjunctive",
-                                "affine", "monotone", "general"])
+                       choices=["auto", *solvers.ROUTES],
+                       help="route to run (default: the clone's route)")
         common(p)
         p.set_defaults(func=fn)
 
@@ -366,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit exceeded)",
+              file=sys.stderr)
         return EXIT_BUDGET
     except AbdError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,15 +155,6 @@ def eval_formula(phi: Formula, sigma: Mapping[str, int]) -> int:
     return eval_fn(phi.fn, [eval_formula(a, sigma) for a in phi.args])
 
 
-def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
-    """Replace all occurrences of alpha (a Var or Const) with beta."""
-    if phi == alpha:
-        return beta
-    if isinstance(phi, App):
-        return App(phi.fn, tuple(substitute(a, alpha, beta) for a in phi.args))
-    return phi
-
-
 def substitute_map(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace variables by formulas."""
     if isinstance(phi, Var):
@@ -313,12 +304,6 @@ def replace_connectives(phi: Formula,
         return substitute_map(template, mapping)
 
     return rewrite(phi)
-
-
-def identity_templates(fns: FunctionSet) -> dict[str, Formula]:
-    """Template map leaving every connective of fns unchanged."""
-    return {f.name: App(f, tuple(Var(f"x{i + 1}") for i in range(f.arity)))
-            for f in fns}
 
 
 # ---------------------------------------------------------------------------

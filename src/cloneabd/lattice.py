@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import (InputError, NoRepresentationError, ResourceBudgetError,
                      UnsupportedError)
-from .formula import App, Formula, Var, render_formula, table_of
+from .formula import (App, Formula, Var, formula_size, render_formula,
+                      table_of)
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR, XNOR,
                          XOR, XOR3, FunctionSet, TruthTable, compose,
@@ -547,16 +548,10 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
                     continue
                 args = tuple(settled[c] for c in combo)
                 node = App(f, args)
-                push(new_mask, node, 1 + sum(_size(a) for a in args))
+                push(new_mask, node, formula_size(node))
     raise NoRepresentationError(
         f"{target.name!r} is not generated by the given connectives at "
         f"arity {m}")
-
-
-def _size(phi: Formula) -> int:
-    if isinstance(phi, App):
-        return 1 + sum(_size(a) for a in phi.args)
-    return 1
 
 
 def _tuples_with(order: list[int], required: int, k: int):
@@ -565,10 +560,3 @@ def _tuples_with(order: list[int], required: int, k: int):
     for combo in _product(order, repeat=k):
         if required in combo:
             yield combo
-
-
-def representation_map(fns: FunctionSet, targets: list[TruthTable],
-                       budget: int = 200000) -> dict[str, Formula]:
-    """Templates (over x1..xk) for each target connective, for use with
-    replace_connectives."""
-    return {t.name: synthesize_representation(fns, t, budget) for t in targets}

@@ -1,28 +1,36 @@
 """Clone-dispatched solving, counting and enumeration.
 
-The dispatcher inspects the clone generated by the instance's connective set
-and routes to the matching algorithm: literal knowledge bases (conjunctive or
-essentially-unary connectives), disjunctive knowledge bases, affine knowledge
-bases (GF(2) systems), a monotone candidate scan with a constant-time
-satisfiability shortcut, and a general two-SAT-calls-per-candidate scan.
+`ROUTES` is one ordered table of routes: literal knowledge bases (conjunctive
+or essentially-unary connectives), disjunctive knowledge bases, affine
+knowledge bases (GF(2) systems), a monotone candidate scan with a
+constant-time satisfiability shortcut, a general two-SAT-calls-per-candidate
+scan, and the brute-force oracle.  `route_of` picks the first entry whose
+`applies(clone, variant)` holds (never the oracle).  An entry also holds
+`solve(inst, budget)`, `count(inst)`, `count_label` (the count method the
+CLI reports) and `decider(inst)`, which builds once per instance the test
+"some full explanation extends this prefix" for the shared walk of
+`enumerate_full`, or gives None when the oracle lists the explanations.  `solve`, `count_full`
+and `enumerate_full` take a route name and default to `route_of(inst)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         SolveOutcome, candidate_explanation, extend_to_full,
                         entails_manifestation, is_explanation, oracle_count_full,
-                        oracle_enumerate)
+                        oracle_enumerate, oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
 from .formula import Const, Formula, Literal, Var, eval_formula, free_vars
 from .truthtable import function_properties
 from .lattice import CloneId, clone_leq, identify_clone
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 20
-SAT_CONFLICT_CAP = 10 ** 6
+
+# "some full explanation extends this prefix of hypothesis literals"
+Decide = Callable[[Sequence[Literal]], bool]
 
 _E = CloneId("E")
 _N = CloneId("N")
@@ -131,24 +139,31 @@ def solve_literal_kb(inst: AbductionInstance) -> SolveOutcome:
     return SolveOutcome(True, e, "literal-KB", certificate_checked=True)
 
 
+def _solvable_forced_literals(inst: AbductionInstance
+                              ) -> dict[str, bool] | None:
+    """The forced-literal map when the instance has an explanation, else
+    None.  The full explanations are then exactly the hypothesis
+    assignments that agree with the map."""
+    if not solve_literal_kb(inst).found:
+        return None
+    forced = _forced_literals(inst)
+    assert isinstance(forced, dict)
+    return forced
+
+
 def _count_literal_kb(inst: AbductionInstance) -> int:
-    outcome = solve_literal_kb(inst)
-    if not outcome.found:
+    forced = _solvable_forced_literals(inst)
+    if forced is None:
         return 0
-    forced = _forced_literals(inst)
-    assert isinstance(forced, dict)
-    free = [v for v in inst.hypotheses if v not in forced]
-    return 1 << len(free)
+    return 1 << sum(1 for v in inst.hypotheses if v not in forced)
 
 
-def _literal_prefix_decides(inst: AbductionInstance,
-                            prefix: Sequence[Literal]) -> bool:
-    outcome = solve_literal_kb(inst)
-    if not outcome.found:
-        return False
-    forced = _forced_literals(inst)
-    assert isinstance(forced, dict)
-    return all(forced.get(l.var, l.positive) == l.positive for l in prefix)
+def _literal_decider(inst: AbductionInstance) -> Decide:
+    forced = _solvable_forced_literals(inst)
+    if forced is None:
+        return lambda prefix: False
+    return lambda prefix: all(forced.get(l.var, l.positive) == l.positive
+                              for l in prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +211,10 @@ def _kb_clauses(inst: AbductionInstance) -> list[frozenset[str]]:
     return out
 
 
-def _disjunctive_decision(inst: AbductionInstance,
-                          prefix: Sequence[Literal] = ()
-                          ) -> Explanation | None:
-    """Witness explanation extending the prefix, or None.
+def _disjunctive_witness(inst: AbductionInstance
+                         ) -> Callable[[Sequence[Literal]], Explanation | None]:
+    """The map from a prefix to a witness explanation extending it, or
+    None; the clause analysis is done once, here.
 
     Criterion: a knowledge-base clause D whose atoms outside the positive
     manifestation atoms S form a set X of hypotheses that can jointly be set
@@ -211,42 +226,45 @@ def _disjunctive_decision(inst: AbductionInstance,
         raise CloneMismatchError(
             "disjunctive path handles literal and clause manifestations")
     clauses = _kb_clauses(inst)
-    if any(not c for c in clauses):
-        return None
     mlits = ([inst.manifestation] if inst.variant == "Q"
              else list(inst.manifestation))
     positive = {l.var for l in mlits if l.positive}
     negative = {l.var for l in mlits if not l.positive}
-    tautological = bool(positive & negative)
-    neg_prefix = frozenset(l.var for l in prefix if not l.positive)
-    pos_prefix = frozenset(l.var for l in prefix if l.positive)
+    if any(not c for c in clauses) or not positive:
+        # an unsatisfiable KB, or a purely negative clause, which monotone
+        # KBs never entail
+        return lambda prefix: None
+    hyps = set(inst.hypotheses)
+    candidates = [d - positive for d in sorted(set(clauses), key=sorted)
+                  if d - positive <= hyps]
 
     def consistent(false_vars: frozenset[str]) -> bool:
         return not any(c <= false_vars for c in clauses)
 
-    if tautological:
-        if consistent(neg_prefix):
-            return Explanation(tuple(prefix))
+    def witness(prefix: Sequence[Literal]) -> Explanation | None:
+        neg_prefix = frozenset(l.var for l in prefix if not l.positive)
+        if positive & negative:  # tautological clause
+            if consistent(neg_prefix):
+                return Explanation(tuple(prefix))
+            return None
+        pos_prefix = frozenset(l.var for l in prefix if l.positive)
+        for x in candidates:
+            if not x & pos_prefix and consistent(neg_prefix | x):
+                lits = {l.var: l for l in prefix}
+                lits.update({v: Literal(v, False) for v in x})
+                return Explanation(tuple(lits.values()))
         return None
-    if not positive:
-        return None  # monotone KBs never entail purely negative clauses
-    witnesses = sorted(set(clauses), key=sorted)
-    for d in witnesses:
-        x = d - positive
-        if not x <= set(inst.hypotheses):
-            continue
-        if x & pos_prefix:
-            continue
-        false_vars = neg_prefix | x
-        if consistent(false_vars):
-            lits = {l.var: l for l in prefix}
-            lits.update({v: Literal(v, False) for v in x})
-            return Explanation(tuple(lits.values()))
-    return None
+
+    return witness
+
+
+def _disjunctive_decider(inst: AbductionInstance) -> Decide:
+    witness = _disjunctive_witness(inst)
+    return lambda prefix: witness(prefix) is not None
 
 
 def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
-    e = _disjunctive_decision(inst)
+    e = _disjunctive_witness(inst)(())
     if e is None:
         return SolveOutcome(False, None, "V-witness")
     assert is_explanation(inst, e)
@@ -264,9 +282,6 @@ class AffineSystem:
 
     cols: tuple[str, ...]
     rows: tuple[tuple[int, int], ...]
-
-    def col_of(self, var: str) -> int:
-        return self.cols.index(var)
 
 
 def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
@@ -487,11 +502,6 @@ def count_affine(inst: AbductionInstance) -> int:
     return _affine_analyze(inst).count
 
 
-def _affine_prefix_decides(inst: AbductionInstance,
-                           prefix: Sequence[Literal]) -> bool:
-    return _affine_analyze(inst, prefix).solvable
-
-
 # ---------------------------------------------------------------------------
 # Monotone candidate scan
 
@@ -584,89 +594,108 @@ def solve_general(inst: AbductionInstance,
 # ---------------------------------------------------------------------------
 # Dispatch
 
-def route_of(inst: AbductionInstance) -> str:
-    clone = identify_clone(inst.fns)
-    if clone_leq(clone, _E) or clone_leq(clone, _N):
-        return "literal"
-    if clone_leq(clone, _V) and inst.variant in ("Q", "C"):
-        return "disjunctive"
-    if clone_leq(clone, _L):
-        return "affine"
-    if clone_leq(clone, _M) and inst.variant in ("Q", "C", "T"):
-        return "monotone"
-    return "general"
-
-
-def solve(inst: AbductionInstance,
-          budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    route = route_of(inst)
-    if route == "literal":
-        return solve_literal_kb(inst)
-    if route == "disjunctive":
-        return solve_disjunctive_kb(inst)
-    if route == "affine":
-        return solve_affine(inst)
-    if route == "monotone":
-        return solve_monotone(inst, budget)
-    return solve_general(inst, budget)
-
-
-def count_method(inst: AbductionInstance) -> str:
-    route = route_of(inst)
-    if route == "literal":
-        return "literal-KB"
-    if route == "affine":
-        return "affine"
-    return "oracle"
-
-
-def count_full(inst: AbductionInstance) -> int:
-    """Exact number of full explanations.  Counting is #P-hard already for
-    disjunctive knowledge bases, so everything beyond the literal and affine
-    paths falls back to the brute-force oracle."""
-    method = count_method(inst)
-    if method == "literal-KB":
-        return _count_literal_kb(inst)
-    if method == "affine":
-        return count_affine(inst)
-    return oracle_count_full(inst)
-
-
-def enumerate_full(inst: AbductionInstance) -> list[Explanation]:
-    """All full explanations in canonical order, by self-reduction: branch
-    on each hypothesis variable (negative first) and descend only into
-    subtrees whose restricted instance still has an explanation."""
-    route = route_of(inst)
-    if route == "literal":
-        decide = _literal_prefix_decides
-    elif route == "affine":
-        decide = _affine_prefix_decides
-    elif route == "disjunctive":
-        def decide(i: AbductionInstance, prefix: Sequence[Literal]) -> bool:
-            return _disjunctive_decision(i, prefix) is not None
-    else:
-        clone = identify_clone(inst.fns)
-        if clone_leq(clone, _V):
-            # disjunctive KB with a term/formula manifestation: correct but
-            # exponential fallback
-            return oracle_enumerate(inst)
+def _oracle_within_v(inst: AbductionInstance) -> None:
+    """No walk: the oracle lists the explanations, for V only."""
+    if not clone_leq(identify_clone(inst.fns), _V):
         raise CloneMismatchError(
             "enumeration requires a knowledge base within L, E/N or V")
 
-    hyp = inst.hypotheses
-    out: list[Explanation] = []
 
-    def walk(prefix: list[Literal]) -> None:
-        if not decide(inst, prefix):
+@dataclass(frozen=True)
+class Route:
+    """One entry of `ROUTES`; the module docstring describes the fields."""
+
+    applies: Callable[[CloneId, str], bool]
+    solve: Callable[[AbductionInstance, int], SolveOutcome]
+    count: Callable[[AbductionInstance], int]
+    count_label: str
+    decider: Callable[[AbductionInstance], Decide | None]
+
+
+# First match wins, in this order.  The lambdas look every algorithm up by
+# its module-level name at call time, so wrappers installed there see calls.
+ROUTES: dict[str, Route] = {
+    "literal": Route(
+        applies=lambda c, v: clone_leq(c, _E) or clone_leq(c, _N),
+        solve=lambda i, b: solve_literal_kb(i),
+        count=lambda i: _count_literal_kb(i), count_label="literal-KB",
+        decider=lambda i: _literal_decider(i)),
+    "disjunctive": Route(
+        applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
+        solve=lambda i, b: solve_disjunctive_kb(i),
+        count=lambda i: len(_walk(i.hypotheses, _disjunctive_decider(i))),
+        count_label="V-witness",
+        decider=lambda i: _disjunctive_decider(i)),
+    "affine": Route(
+        applies=lambda c, v: clone_leq(c, _L),
+        solve=lambda i, b: solve_affine(i),
+        count=lambda i: count_affine(i), count_label="affine",
+        decider=lambda i: lambda p: _affine_analyze(i, p).solvable),
+    "monotone": Route(
+        applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
+        solve=lambda i, b: solve_monotone(i, b),
+        count=lambda i: oracle_count_full(i), count_label="oracle",
+        decider=lambda i: _oracle_within_v(i)),
+    "general": Route(
+        applies=lambda c, v: True,
+        solve=lambda i, b: solve_general(i, b),
+        count=lambda i: oracle_count_full(i), count_label="oracle",
+        decider=lambda i: _oracle_within_v(i)),
+    "oracle": Route(
+        applies=lambda c, v: False,
+        solve=lambda i, b: oracle_solve(i),
+        count=lambda i: oracle_count_full(i), count_label="oracle",
+        decider=lambda i: None),
+}
+
+
+def route_of(inst: AbductionInstance) -> str:
+    clone = identify_clone(inst.fns)
+    return next(name for name, route in ROUTES.items()
+                if route.applies(clone, inst.variant))
+
+
+def solve(inst: AbductionInstance, budget: int = DEFAULT_CANDIDATE_BUDGET,
+          route: str | None = None) -> SolveOutcome:
+    return ROUTES[route or route_of(inst)].solve(inst, budget)
+
+
+def count_full(inst: AbductionInstance, route: str | None = None) -> int:
+    """Exact number of full explanations.  Counting is #P-hard already for
+    disjunctive knowledge bases, so the disjunctive route counts the leaves
+    of its enumeration walk, and everything beyond the literal, disjunctive
+    and affine routes falls back to the brute-force oracle."""
+    return ROUTES[route or route_of(inst)].count(inst)
+
+
+def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
+    """The full prefixes accepted by `decide`, by self-reduction: branch on
+    each hypothesis variable (negative first) and descend only into
+    subtrees whose prefix `decide` accepts."""
+    out: list[tuple[Literal, ...]] = []
+    prefix: list[Literal] = []
+
+    def visit() -> None:
+        if not decide(prefix):
             return
         depth = len(prefix)
         if depth == len(hyp):
-            out.append(Explanation(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for positive in (False, True):
             prefix.append(Literal(hyp[depth], positive))
-            walk(prefix)
+            visit()
             prefix.pop()
 
-    walk([])
+    visit()
     return out
+
+
+def enumerate_full(inst: AbductionInstance,
+                   route: str | None = None) -> list[Explanation]:
+    """All full explanations in canonical order: the walk over the route's
+    decider, or the oracle when the route has none."""
+    decide = ROUTES[route or route_of(inst)].decider(inst)
+    if decide is None:
+        return oracle_enumerate(inst)
+    return [Explanation(p) for p in _walk(inst.hypotheses, decide)]

@@ -10,7 +10,7 @@ everywhere (files, closure, synthesis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -75,10 +75,6 @@ class TruthTable:
     def renamed(self, name: str) -> "TruthTable":
         return TruthTable(name, self.arity, self.bits)
 
-    def same_function(self, other: "TruthTable") -> bool:
-        """Table equality, ignoring the name."""
-        return self.arity == other.arity and self.bits == other.bits
-
     def preimage(self, c: int) -> list[tuple[int, ...]]:
         """All assignments mapped to c."""
         return [row_assignment(i, self.arity)
@@ -114,10 +110,6 @@ class FunctionSet:
     def extended(self, *extra: TruthTable) -> "FunctionSet":
         return FunctionSet(self.functions + list(extra))
 
-    def without(self, *names: str) -> "FunctionSet":
-        drop = set(names)
-        return FunctionSet(f for f in self.functions if f.name not in drop)
-
     def __repr__(self) -> str:
         return "FunctionSet({%s})" % ", ".join(f.name for f in self.functions)
 
@@ -135,18 +127,6 @@ class PropertyRecord:
     is_conjunction: bool
     is_unary: bool
     is_projection_or_constant: bool
-
-    @property
-    def shape(self) -> str:
-        if self.is_projection_or_constant:
-            return "projection-or-constant"
-        if self.is_unary:
-            return "essentially-unary"
-        if self.is_disjunction:
-            return "disjunction"
-        if self.is_conjunction:
-            return "conjunction"
-        return "general"
 
 
 def eval_fn(f: TruthTable, args: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cloneabd import solvers
 from cloneabd.cli import main
 
 OR_BASE = "fn or 2 0111\n"
@@ -179,3 +180,49 @@ def test_generate_from_source(tmp_path, capsys):
     sc = json.loads(out)["sidecar"]
     assert sc["systemSolvable"] is False
     assert sc["expectSolvable"] is True
+
+
+BF_INSTANCE = ("fn and 2 0001\nfn not 1 10\n"
+               "kb (not (and a b))\nhyp a\nquery b\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "enumerate"])
+def test_forced_affine_on_non_affine_kb_is_input_error(tmp_path, capsys,
+                                                       command):
+    p = tmp_path / "bf.txt"
+    p.write_text(BF_INSTANCE)
+    code, out = run(capsys, command, str(p), "--method", "affine")
+    assert code == 2
+    assert out == ""
+
+
+def test_count_oracle_method_matches_auto(inst_file, capsys):
+    _, auto = run(capsys, "count", inst_file, "--json")
+    _, oracle = run(capsys, "count", inst_file, "--method", "oracle",
+                    "--json")
+    assert json.loads(oracle) == {**json.loads(auto), "method": "oracle"}
+
+
+@pytest.mark.parametrize("route", list(solvers.ROUTES))
+def test_method_means_the_same_on_every_command(inst_file, capsys, route):
+    # a forced route either runs on all three commands or is refused by all
+    refused = []
+    for command in ("solve", "count", "enumerate"):
+        code, _ = run(capsys, command, inst_file, "--method", route)
+        assert code in (0, 1, 2), command
+        refused.append(code == 2)
+    assert len(set(refused)) == 1, refused
+
+
+def test_deep_formula_exits_3_without_output(tmp_path, capsys):
+    kb = "a"
+    for i in range(1200):
+        kb = f"(or {kb} b{i % 5})"
+    p = tmp_path / "deep.txt"
+    p.write_text(f"fn or 2 0111\nkb {kb}\nhyp a b1 b2 b3 b4\nquery b0\n")
+    code = main(["solve", str(p)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
