@@ -1,8 +1,9 @@
 """Command-line surface: identify, classify, solve, count, enumerate,
 verify, generate and repr subcommands with deterministic text/JSON output.
 
-Exit codes: 0 success, 1 definite negative answer, 2 input error, 3 resource
-budget exceeded (including input nested too deeply to process).
+Exit codes: 0 success, 1 definite negative answer, 2 input error (including
+a --method route outside the instance's clone), 3 resource budget exceeded
+(including input nested too deeply to process and running out of memory).
 """
 
 from __future__ import annotations
@@ -94,11 +95,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _instance_and_route(args: argparse.Namespace):
-    """The instance and the route named by --method (`auto`: the clone's)."""
+    """The instance and the route entry named by --method (`auto`: the
+    clone's), resolved once; a route outside its clone is an input error."""
     inst = parse_instance(_read(args.instance))
-    if args.method == "auto":
-        return inst, solvers.route_of(inst)
-    return inst, args.method
+    name = None if args.method == "auto" else args.method
+    return inst, solvers.ROUTES[solvers.route_of(inst, name)]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -122,7 +123,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     inst, route = _instance_and_route(args)
     count = solvers.count_full(inst, route)
-    method = solvers.ROUTES[route].count_label
+    method = route.count_label
     _emit(args, {"count": count, "method": method, "exact": True},
           f"full explanations: {count} (method {method})")
     return EXIT_OK
@@ -311,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="instance file")
         p.add_argument("--method", default="auto",
                        choices=["auto", *solvers.ROUTES],
-                       help="route to run (default: the clone's route)")
+                       help="route to run (default: the clone's route); "
+                       "a route other than general or oracle exits 2 on a "
+                       "knowledge base outside its clone")
         common(p)
         p.set_defaults(func=fn)
 
@@ -353,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply (recursion limit exceeded)",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except AbdError as exc:
         print(f"error: {exc}", file=sys.stderr)

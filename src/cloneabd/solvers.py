@@ -5,12 +5,15 @@ or essentially-unary connectives), disjunctive knowledge bases, affine
 knowledge bases (GF(2) systems), a monotone candidate scan with a
 constant-time satisfiability shortcut, a general two-SAT-calls-per-candidate
 scan, and the brute-force oracle.  `route_of` picks the first entry whose
-`applies(clone, variant)` holds (never the oracle).  An entry also holds
-`solve(inst, budget)`, `count(inst)`, `count_label` (the count method the
-CLI reports) and `decider(inst)`, which builds once per instance the test
-"some full explanation extends this prefix" for the shared walk of
-`enumerate_full`, or gives None when the oracle lists the explanations.  `solve`, `count_full`
-and `enumerate_full` take a route name and default to `route_of(inst)`.
+`applies(clone, variant)` holds (never the oracle), and refuses a named
+route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
+`count(inst)`, `count_label` (the count method the CLI reports) and
+`decider(inst)`, which builds once per instance the test "some full
+explanation extends this prefix" for the shared walk of `enumerate_full`,
+or gives None when the oracle lists the explanations.  `solve`,
+`count_full` and `enumerate_full` take a route name, checked by
+`route_of`, or an entry `route_of` already resolved, and default to the
+clone's route.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         entails_manifestation, is_explanation, oracle_count_full,
                         oracle_enumerate, oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
-from .formula import Const, Formula, Literal, Var, eval_formula, free_vars
-from .truthtable import function_properties
+from .formula import (App, Const, Formula, Literal, Var, eval_formula,
+                      free_vars)
+from .truthtable import TruthTable, function_properties
 from .lattice import CloneId, clone_leq, identify_clone
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 20
@@ -284,9 +288,20 @@ class AffineSystem:
     rows: tuple[tuple[int, int], ...]
 
 
+def _connectives(phi: Formula) -> set[TruthTable]:
+    if not isinstance(phi, App):
+        return set()
+    return {phi.fn}.union(*(_connectives(a) for a in phi.args))
+
+
 def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
-    """The GF(2) equation asserted by an affine formula: (variables, bit)
-    with XOR(variables) = bit."""
+    """The GF(2) equation asserted by a formula: (variables, bit) with
+    XOR(variables) = bit.  Only formulas built from affine connectives are
+    accepted; such a formula is affine, so its values at the zero and unit
+    points fix it exactly."""
+    if not all(function_properties(fn).affine for fn in _connectives(phi)):
+        raise CloneMismatchError(
+            "knowledge-base formula has a non-affine connective")
     variables = free_vars(phi)
     zero = {v: 0 for v in variables}
     c0 = eval_formula(phi, zero)
@@ -296,11 +311,6 @@ def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
         point[v] = 1
         if eval_formula(phi, point) != c0:
             eqvars.append(v)
-    # cross-check on the all-ones assignment
-    ones = {v: 1 for v in variables}
-    if eval_formula(phi, ones) != c0 ^ (len(eqvars) & 1):
-        raise CloneMismatchError(
-            "knowledge-base formula is not affine")
     return frozenset(eqvars), 1 ^ c0
 
 
@@ -370,10 +380,8 @@ def _project(rows: Iterable[tuple[int, int]], split: int,
     return _Projection(True, apivots, num_hyp - len(apivots))
 
 
-def build_affine_system(inst: AbductionInstance,
-                        prefix: Sequence[Literal] = ()) -> AffineSystem:
-    """The knowledge-base system, hypothesis columns last, with unit
-    equations for any prefix literals."""
+def build_affine_system(inst: AbductionInstance) -> AffineSystem:
+    """The knowledge-base system, hypothesis columns last."""
     non_hyp = [v for v in inst.variables if v not in inst.hypotheses]
     cols = tuple(non_hyp) + tuple(inst.hypotheses)
     index = {v: j for j, v in enumerate(cols)}
@@ -384,8 +392,6 @@ def build_affine_system(inst: AbductionInstance,
         for v in eqvars:
             mask |= 1 << index[v]
         rows.append((mask, rhs))
-    for l in prefix:
-        rows.append((1 << index[l.var], 1 if l.positive else 0))
     return AffineSystem(cols, tuple(rows))
 
 
@@ -422,12 +428,16 @@ class _AffineAnalysis:
     # on fullness -- exact when prefix is empty)
 
 
-def _affine_analyze(inst: AbductionInstance,
+def _affine_analyze(inst: AbductionInstance, system: AffineSystem,
                     prefix: Sequence[Literal] = ()) -> _AffineAnalysis:
-    system = build_affine_system(inst, prefix)
+    """Analysis of the knowledge-base `system` with a unit equation for
+    each prefix literal."""
+    index = {v: j for j, v in enumerate(system.cols)}
+    rows = list(system.rows) + [(1 << index[l.var], 1 if l.positive else 0)
+                                for l in prefix]
     split = len(system.cols) - len(inst.hypotheses)
     num_hyp = len(inst.hypotheses)
-    base = _project(system.rows, split, num_hyp)
+    base = _project(rows, split, num_hyp)
     if not base.feasible:
         return _AffineAnalysis(False, None, 0)
     groups = _negation_rows(inst, system)
@@ -438,7 +448,7 @@ def _affine_analyze(inst: AbductionInstance,
         # form the witness must satisfy
         good_rows = list(base.apivots.values())
         for group in groups:
-            ext = _project(list(system.rows) + group, split, num_hyp)
+            ext = _project(rows + group, split, num_hyp)
             if not ext.feasible:
                 continue  # that literal is already entailed
             if ext.dim == base.dim:
@@ -457,7 +467,7 @@ def _affine_analyze(inst: AbductionInstance,
         return _AffineAnalysis(True, _particular_solution(good), 1 << dim)
 
     (group,) = groups
-    ext = _project(list(system.rows) + group, split, num_hyp)
+    ext = _project(rows + group, split, num_hyp)
     if not ext.feasible:
         count = 1 << base.dim
         return _AffineAnalysis(True, _particular_solution(base.apivots),
@@ -486,10 +496,10 @@ def _point_explanation(inst: AbductionInstance, system_cols: tuple[str, ...],
 
 
 def solve_affine(inst: AbductionInstance) -> SolveOutcome:
-    analysis = _affine_analyze(inst)
+    system = build_affine_system(inst)
+    analysis = _affine_analyze(inst, system)
     if not analysis.solvable:
         return SolveOutcome(False, None, "affine")
-    system = build_affine_system(inst)
     assert analysis.witness_point is not None
     e = _point_explanation(inst, system.cols, analysis.witness_point)
     assert is_explanation(inst, e)
@@ -499,7 +509,12 @@ def solve_affine(inst: AbductionInstance) -> SolveOutcome:
 def count_affine(inst: AbductionInstance) -> int:
     """Exact number of full explanations for an affine knowledge base, as a
     difference (or, for terms, a single power) of projected subspace sizes."""
-    return _affine_analyze(inst).count
+    return _affine_analyze(inst, build_affine_system(inst)).count
+
+
+def _affine_decider(inst: AbductionInstance) -> Decide:
+    system = build_affine_system(inst)
+    return lambda prefix: _affine_analyze(inst, system, prefix).solvable
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +645,7 @@ ROUTES: dict[str, Route] = {
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
         count=lambda i: count_affine(i), count_label="affine",
-        decider=lambda i: lambda p: _affine_analyze(i, p).solvable),
+        decider=lambda i: _affine_decider(i)),
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),
@@ -649,23 +664,48 @@ ROUTES: dict[str, Route] = {
 }
 
 
-def route_of(inst: AbductionInstance) -> str:
+# Sound on every knowledge base, so never checked against the clone.
+_UNCHECKED = ("general", "oracle")
+
+
+def route_of(inst: AbductionInstance, route: str | None = None) -> str:
+    """The one place that resolves a route: with no name, the first entry
+    whose `applies` holds; a named route is returned once its `applies`
+    holds (unchecked for `general` and `oracle`), and otherwise refused
+    with CloneMismatchError."""
+    if route in _UNCHECKED:
+        return route
     clone = identify_clone(inst.fns)
-    return next(name for name, route in ROUTES.items()
-                if route.applies(clone, inst.variant))
+    if route is None:
+        return next(name for name, entry in ROUTES.items()
+                    if entry.applies(clone, inst.variant))
+    if not ROUTES[route].applies(clone, inst.variant):
+        raise CloneMismatchError(
+            f"route {route!r} does not decide clone {clone.name} with "
+            f"variant {inst.variant}")
+    return route
+
+
+def _entry(inst: AbductionInstance, route: str | Route | None) -> Route:
+    """A name (or None) goes through `route_of`; an entry that `route_of`
+    already resolved runs as it is."""
+    if isinstance(route, Route):
+        return route
+    return ROUTES[route_of(inst, route)]
 
 
 def solve(inst: AbductionInstance, budget: int = DEFAULT_CANDIDATE_BUDGET,
-          route: str | None = None) -> SolveOutcome:
-    return ROUTES[route or route_of(inst)].solve(inst, budget)
+          route: str | Route | None = None) -> SolveOutcome:
+    return _entry(inst, route).solve(inst, budget)
 
 
-def count_full(inst: AbductionInstance, route: str | None = None) -> int:
+def count_full(inst: AbductionInstance,
+               route: str | Route | None = None) -> int:
     """Exact number of full explanations.  Counting is #P-hard already for
     disjunctive knowledge bases, so the disjunctive route counts the leaves
     of its enumeration walk, and everything beyond the literal, disjunctive
     and affine routes falls back to the brute-force oracle."""
-    return ROUTES[route or route_of(inst)].count(inst)
+    return _entry(inst, route).count(inst)
 
 
 def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
@@ -692,10 +732,10 @@ def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
 
 
 def enumerate_full(inst: AbductionInstance,
-                   route: str | None = None) -> list[Explanation]:
+                   route: str | Route | None = None) -> list[Explanation]:
     """All full explanations in canonical order: the walk over the route's
     decider, or the oracle when the route has none."""
-    decide = ROUTES[route or route_of(inst)].decider(inst)
+    decide = _entry(inst, route).decider(inst)
     if decide is None:
         return oracle_enumerate(inst)
     return [Explanation(p) for p in _walk(inst.hypotheses, decide)]

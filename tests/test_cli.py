@@ -226,3 +226,43 @@ def test_deep_formula_exits_3_without_output(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+# A named route outside its clone: an [AND, NOT] KB under `monotone`, whose
+# all-true shortcut would answer "no explanation" (the oracle finds !a), and
+# an S00 KB under `affine`, whose three-point reading would take x∨(y∧z) for
+# the equation x = 1 (the oracle finds !a b and counts 1).
+MISROUTED = {
+    "monotone": ("fn and 2 0001\nfn not 1 10\n"
+                 "kb (and (not a) (not c))\nhyp a\nquery !c\n"),
+    "affine": "fn or_and 3 00011111\nkb (or_and a c b)\nhyp a b\nquery c\n",
+}
+
+
+@pytest.mark.parametrize("route", sorted(MISROUTED))
+@pytest.mark.parametrize("command", ["solve", "count", "enumerate"])
+def test_named_route_outside_its_clone_exits_2(tmp_path, capsys, route,
+                                               command):
+    p = tmp_path / "inst.txt"
+    p.write_text(MISROUTED[route])
+    code = main([command, str(p), "--method", route])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    # the oracle still answers the same file
+    assert main([command, str(p), "--method", "oracle"]) == 0
+    capsys.readouterr()
+
+
+def test_memory_error_exits_3_without_output(inst_file, capsys, monkeypatch):
+    def exhausted(inst):
+        raise MemoryError
+
+    monkeypatch.setattr(solvers, "solve_disjunctive_kb", exhausted)
+    code = main(["solve", inst_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1

@@ -106,6 +106,26 @@ def test_clone_leq_parametric_chain():
     assert not clone_leq(C("S0^2"), C("S0^3"))
 
 
+def test_clone_leq_is_base_membership():
+    # the definition: C1 <= C2 iff every base function of C1 lies in C2
+    ids = all_clone_ids((2, 3, 4))
+    for a, b in itertools.product(ids, repeat=2):
+        assert clone_leq(a, b) == set_in_clone(base_of(a), b), \
+            (a.name, b.name)
+
+
+def test_clone_leq_beyond_base_degrees():
+    # degrees 5 and 6 have no base here; the chains still hold
+    for fam in ("S0", "S1", "S02", "S10"):
+        assert clone_leq(CloneId(fam, 6), CloneId(fam, 5))
+        assert clone_leq(CloneId(fam, 5), CloneId(fam, 4))
+        assert clone_leq(CloneId(fam), CloneId(fam, 6))
+        assert not clone_leq(CloneId(fam, 5), CloneId(fam, 6))
+        assert not clone_leq(CloneId(fam, 6), CloneId(fam))
+    assert clone_leq(CloneId("S00", 6), CloneId("S02", 5))
+    assert not clone_leq(CloneId("S0", 6), CloneId("S1", 2))
+
+
 def test_clone_leq_partial_order():
     ids = all_clone_ids((2, 3))
     for a in ids:

@@ -9,8 +9,8 @@ from cloneabd.errors import CloneMismatchError
 from cloneabd.formula import parse_formula
 from cloneabd.lattice import all_clone_ids, base_of
 from cloneabd.reductions import gen_random_instance
-from cloneabd.solvers import (count_affine, count_full, enumerate_full,
-                              route_of, solve, solve_affine,
+from cloneabd.solvers import (ROUTES, count_affine, count_full,
+                              enumerate_full, route_of, solve, solve_affine,
                               solve_disjunctive_kb, solve_general,
                               solve_literal_kb, solve_monotone)
 from cloneabd.truthtable import (AND, ANDNOT, MAJ3, NOT, OR, XOR, XOR3,
@@ -121,6 +121,18 @@ def test_wrong_route_raises():
         solve_literal_kb(inst)
 
 
+def test_affine_solver_refuses_non_affine_connective():
+    # a∨(c∧b) agrees with the equation a = 1 at the zero, unit and all-ones
+    # points; only its connective shows that it is not affine
+    inst = make_instance([OR_AND], ["(or_and a c b)"], ["a", "b"],
+                         "Q", lit("c"))
+    assert oracle_count_full(inst) == 1
+    with pytest.raises(CloneMismatchError):
+        solve_affine(inst)
+    with pytest.raises(CloneMismatchError):
+        count_affine(inst)
+
+
 @pytest.mark.parametrize("variant", ["Q", "C", "T", "F"])
 @pytest.mark.parametrize("base_idx", range(len(BASES)))
 def test_solve_matches_oracle(base_idx, variant):
@@ -165,20 +177,34 @@ def test_solve_outcome_invariants():
 @pytest.mark.parametrize("clone", all_clone_ids((2,)), ids=lambda c: c.name)
 def test_every_clone_agrees_with_oracle(clone):
     """One instance per clone of Post's lattice (degree-2 families) and
-    variant, beyond the fixed bases above: every route's solve, count and
-    enumeration against the oracle, and count == len(enumerate)."""
+    variant, beyond the fixed bases above: solve, count and enumeration by
+    the clone's route and by every named route against the oracle.  A named
+    route outside its clone is refused by all three; the monotone and
+    general routes list explanations only within V."""
     for variant in "QCTF":
         inst = gen_random_instance(0, base_of(clone), variant=variant)
-        assert solve(inst).found == oracle_solve(inst).found, variant
-        count = count_full(inst)
-        assert count == oracle_count_full(inst), variant
-        try:
-            listed = [e.serialize() for e in enumerate_full(inst)]
-        except CloneMismatchError:
-            assert route_of(inst) in ("monotone", "general"), variant
-            continue
-        assert listed == [e.serialize() for e in oracle_enumerate(inst)]
-        assert count == len(listed), variant
+        found = oracle_solve(inst).found
+        count = oracle_count_full(inst)
+        want = [e.serialize() for e in oracle_enumerate(inst)]
+        assert count == len(want), variant
+        for route in (None, *ROUTES):
+            where = (variant, route)
+            try:
+                name = route_of(inst, route)
+            except CloneMismatchError:
+                assert route is not None, where
+                for run in (solve, count_full, enumerate_full):
+                    with pytest.raises(CloneMismatchError):
+                        run(inst, route=route)
+                continue
+            assert solve(inst, route=route).found == found, where
+            assert count_full(inst, route) == count, where
+            try:
+                listed = [e.serialize() for e in enumerate_full(inst, route)]
+            except CloneMismatchError:
+                assert name in ("monotone", "general"), where
+                continue
+            assert listed == want, where
 
 
 def test_disjunctive_count_matches_oracle():
