@@ -1,5 +1,6 @@
-"""Abduction instances, explanation checking, the brute-force oracle, the
-constant-elimination transforms and the instance file format.
+"""Abduction instances, explanation checking, the candidate scan and the
+brute-force oracle on it, the constant-elimination transforms and the
+instance file format.
 
 An instance is (Gamma, A, psi): a knowledge base of formulas over a declared
 connective set, a set of hypothesis variables, and a manifestation which is a
@@ -9,7 +10,7 @@ literal (variant Q), a clause (C), a term (T) or a formula (F).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
 from .formula import (App, Const, Formula, Literal, Var, encode_cnf,
@@ -130,10 +131,9 @@ def validate_instance(inst: AbductionInstance) -> list[str]:
     if outside:
         errors.append(
             f"hypothesis outside knowledge base: {', '.join(outside)}")
-    overlap = sorted(set(inst.manifestation_vars) & set(inst.hypotheses))
+    overlap = _overlap_error(inst)
     if overlap:
-        errors.append(
-            f"manifestation overlaps hypotheses: {', '.join(overlap)}")
+        errors.append(overlap)
     m_outside = sorted(set(inst.manifestation_vars) - kb_vars)
     if m_outside:
         errors.append(
@@ -146,6 +146,13 @@ def validate_instance(inst: AbductionInstance) -> list[str]:
                 f"manifestation uses connectives outside the declared set: "
                 f"{', '.join(sorted(bad))}")
     return errors
+
+
+def _overlap_error(inst: AbductionInstance) -> str | None:
+    overlap = sorted(set(inst.manifestation_vars) & set(inst.hypotheses))
+    if overlap:
+        return f"manifestation overlaps hypotheses: {', '.join(overlap)}"
+    return None
 
 
 def _foreign_connectives(phi: Formula, fns: FunctionSet) -> set[str]:
@@ -218,37 +225,57 @@ def _oracle_scale_check(inst: AbductionInstance) -> None:
             f"got {len(inst.variables)}")
 
 
+def scan_candidates(inst: AbductionInstance,
+                    accepts: Callable[[Explanation], bool],
+                    budget: int | None = None, scan: str = ""
+                    ) -> Iterator[tuple[int, Explanation]]:
+    """(index, candidate) for every full candidate that `accepts` takes, in
+    canonical order.  Reaching candidate `budget` raises
+    ResourceBudgetError, naming the `scan`."""
+    hyp = inst.hypotheses
+    for index in range(1 << len(hyp)):
+        if budget is not None and index >= budget:
+            raise ResourceBudgetError(
+                f"{scan} scan budget {budget} candidates exceeded")
+        e = candidate_explanation(hyp, index)
+        if accepts(e):
+            yield index, e
+
+
+def first_hit(inst: AbductionInstance,
+              hits: Iterable[tuple[int, Explanation]],
+              method: str) -> SolveOutcome:
+    """A solve outcome from a scan's hits: the first one, which the scan's
+    test has checked, or none after every candidate."""
+    for index, e in hits:
+        return SolveOutcome(True, e, method, certificate_checked=True,
+                            candidates_tried=index + 1)
+    return SolveOutcome(False, None, method,
+                        candidates_tried=1 << len(inst.hypotheses))
+
+
+def _oracle_hits(inst: AbductionInstance
+                 ) -> Iterator[tuple[int, Explanation]]:
+    _oracle_scale_check(inst)
+    return scan_candidates(inst, lambda e: is_explanation(inst, e))
+
+
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
     """Exhaustive scan over full candidates in canonical order.
 
     Sound and complete for existence because every explanation extends to a
     full one.
     """
-    _oracle_scale_check(inst)
-    hyp = inst.hypotheses
-    for index in range(1 << len(hyp)):
-        e = candidate_explanation(hyp, index)
-        if is_explanation(inst, e):
-            return SolveOutcome(True, e, "oracle", certificate_checked=True,
-                                candidates_tried=index + 1)
-    return SolveOutcome(False, None, "oracle",
-                        candidates_tried=1 << len(hyp))
+    return first_hit(inst, _oracle_hits(inst), "oracle")
 
 
 def oracle_count_full(inst: AbductionInstance) -> int:
-    _oracle_scale_check(inst)
-    hyp = inst.hypotheses
-    return sum(
-        1 for index in range(1 << len(hyp))
-        if is_explanation(inst, candidate_explanation(hyp, index)))
+    return sum(1 for _ in _oracle_hits(inst))
 
 
 def oracle_enumerate(inst: AbductionInstance) -> list[Explanation]:
     """All full explanations, in canonical candidate order."""
-    _oracle_scale_check(inst)
-    hyp = inst.hypotheses
-    return [e for index in range(1 << len(hyp))
-            if is_explanation(inst, e := candidate_explanation(hyp, index))]
+    return [e for _, e in _oracle_hits(inst)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +441,12 @@ def parse_instance(text: str) -> AbductionInstance:
             bad(f"unknown directive {key!r}")
     if variant is None or manifestation is None:
         raise InputError("instance has no manifestation line")
-    return AbductionInstance(fns, tuple(kb), tuple(hyp), variant,
+    inst = AbductionInstance(fns, tuple(kb), tuple(hyp), variant,
                              manifestation)
+    overlap = _overlap_error(inst)
+    if overlap:
+        raise InputError(overlap)
+    return inst
 
 
 def serialize_instance(inst: AbductionInstance) -> str:

@@ -243,24 +243,18 @@ def _split_sizes(n: int, k: int) -> list[int]:
     return sizes
 
 
-def balanced_tree(op: TruthTable, operands: Sequence[Formula],
-                  pad: Formula | None = None) -> Formula:
+def balanced_tree(op: TruthTable, operands: Sequence[Formula]) -> Formula:
     """Combine operands under an associative op into a log-depth tree,
-    equivalent to the left-nested chain.
-
-    A k-ary tree needs 1 mod (k-1) operands; when ``pad`` (the op's identity
-    element) is given, the operand list is padded to fit.
-    """
+    equivalent to the left-nested chain.  A k-ary tree needs 1 mod (k-1)
+    operands."""
     if not operands:
         raise InputError("balanced_tree needs at least one operand")
     _check_associative(op)
     k = op.arity
     ops = list(operands)
-    while len(ops) > 1 and (len(ops) - 1) % (k - 1) != 0:
-        if pad is None:
-            raise InputError(
-                f"{len(ops)} operands cannot fill a {k}-ary tree without padding")
-        ops.append(pad)
+    if len(ops) > 1 and (len(ops) - 1) % (k - 1) != 0:
+        raise InputError(
+            f"{len(ops)} operands cannot fill a {k}-ary tree without padding")
 
     def build(chunk: list[Formula]) -> Formula:
         if len(chunk) == 1:

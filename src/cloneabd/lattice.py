@@ -299,20 +299,20 @@ def h_fn(n: int) -> TruthTable:
     return TruthTable.from_callable(f"h{n}", n + 1, fn)
 
 
-def _tt_lambda(name: str, arity: int, fn) -> TruthTable:
-    return TruthTable.from_callable(name, arity, fn)
-
-
-_OR_AND_NOT_Z = _tt_lambda("or_and_not", 3, lambda x, y, z: x | (y & (1 - z)))
-_AND_OR_NOT_Z = _tt_lambda("and_or_not", 3, lambda x, y, z: x & (y | (1 - z)))
-_OR_AND = _tt_lambda("or_and", 3, lambda x, y, z: x | (y & z))
-_AND_OR = _tt_lambda("and_or", 3, lambda x, y, z: x & (y | z))
-_D_BASE = _tt_lambda("dbase", 3, lambda x, y, z:
-                     (x & (1 - y)) | (x & (1 - z)) | ((1 - y) & (1 - z)))
-_D1_BASE = _tt_lambda("d1base", 3, lambda x, y, z:
-                      (x & y) | (x & (1 - z)) | (y & (1 - z)))
-_XOR3_NOT = _tt_lambda("xnor3", 3, lambda x, y, z: x ^ y ^ z ^ 1)
-_AND_XNOR = _tt_lambda("and_xnor", 3, lambda x, y, z: x & (y ^ z ^ 1))
+_OR_AND_NOT_Z = TruthTable.from_callable(
+    "or_and_not", 3, lambda x, y, z: x | (y & (1 - z)))
+_AND_OR_NOT_Z = TruthTable.from_callable(
+    "and_or_not", 3, lambda x, y, z: x & (y | (1 - z)))
+_OR_AND = TruthTable.from_callable("or_and", 3, lambda x, y, z: x | (y & z))
+_AND_OR = TruthTable.from_callable("and_or", 3, lambda x, y, z: x & (y | z))
+_D_BASE = TruthTable.from_callable("dbase", 3, lambda x, y, z: (
+    (x & (1 - y)) | (x & (1 - z)) | ((1 - y) & (1 - z))))
+_D1_BASE = TruthTable.from_callable("d1base", 3, lambda x, y, z: (
+    (x & y) | (x & (1 - z)) | (y & (1 - z))))
+_XOR3_NOT = TruthTable.from_callable("xnor3", 3,
+                                     lambda x, y, z: x ^ y ^ z ^ 1)
+_AND_XNOR = TruthTable.from_callable("and_xnor", 3,
+                                     lambda x, y, z: x & (y ^ z ^ 1))
 
 
 def base_of(clone: CloneId) -> FunctionSet:

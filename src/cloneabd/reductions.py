@@ -109,10 +109,6 @@ class Qbf2Instance:
 # ---------------------------------------------------------------------------
 # Helper-to-base compilation
 
-def _clone_of(base: FunctionSet) -> CloneId:
-    return identify_clone(base)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise CloneMismatchError(msg)
@@ -176,7 +172,7 @@ def from_linear_system(system: LinearSystem,
                        base: FunctionSet) -> AbductionInstance:
     """Affine-case hardness construction: the system has NO solution iff the
     generated instance (with empty hypothesis set) has an explanation."""
-    _require(clone_leq(_L2, _clone_of(base)),
+    _require(clone_leq(_L2, identify_clone(base)),
              "linear-system reduction needs a base generating at least L2")
     q = "_q0"
     kb = []
@@ -203,7 +199,7 @@ def from_two_in_three_sat(phi: CnfFormula,
                           base: FunctionSet) -> AbductionInstance:
     """Monotone-case construction: some assignment satisfies exactly two
     atoms of every clause iff the instance has an explanation."""
-    clone = _clone_of(base)
+    clone = identify_clone(base)
     _require(any(clone_leq(low, clone) for low in _LOWER_M)
              and clone_leq(clone, _M),
              "2-in-3 reduction needs S00, S10 or D2 below [B] within M")
@@ -237,7 +233,7 @@ def from_three_sat_term(phi: CnfFormula,
                         base: FunctionSet) -> AbductionInstance:
     """Term-variant construction: the CNF is satisfiable iff the instance
     has an explanation."""
-    _require(clone_leq(_V2, _clone_of(base)),
+    _require(clone_leq(_V2, identify_clone(base)),
              "3-SAT term reduction needs a base generating at least V2")
     variables = phi.variables
     primed = {v: f"_p{i}" for i, v in enumerate(variables, start=1)}
@@ -264,7 +260,7 @@ def from_qsat2_formula(chi: Qbf2Instance,
                        base: FunctionSet) -> AbductionInstance:
     """Formula-variant construction: the two-level quantified formula is
     true iff the instance has an explanation."""
-    clone = _clone_of(base)
+    clone = identify_clone(base)
     _require(any(clone_leq(low, clone) for low in _LOWER_M),
              "QSAT2 reduction needs S00, S10 or D2 below [B]")
     if any(len(t) > 3 for t in chi.matrix.terms):
@@ -344,7 +340,7 @@ def from_pos2sat_count(phi: CnfFormula,
                        ) -> tuple[AbductionInstance, int]:
     """Counting construction for positive 2-CNF: the CNF's model count over
     x1..xn equals 2^n minus the instance's full-explanation count."""
-    _require(clone_leq(_V2, _clone_of(base)),
+    _require(clone_leq(_V2, identify_clone(base)),
              "positive-2-SAT counting reduction needs OR in [B]")
     for c in phi.clauses:
         if len(c) != 2 or any(not l.positive for l in c):

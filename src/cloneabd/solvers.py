@@ -8,24 +8,24 @@ scan, and the brute-force oracle.  `route_of` picks the first entry whose
 `applies(clone, variant)` holds (never the oracle), and refuses a named
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `count(inst)`, `count_label` (the count method the CLI reports) and
-`decider(inst)`, which builds once per instance the test "some full
-explanation extends this prefix" for the shared walk of `enumerate_full`,
-or gives None when the oracle lists the explanations.  `solve`,
-`count_full` and `enumerate_full` take a route name, checked by
-`route_of`, or an entry `route_of` already resolved, and default to the
-clone's route.
+`explanations(inst)`, the full explanations in canonical order: the
+self-reducing walk over a per-instance prefix test for the literal,
+disjunctive and affine routes, the hits of the monotone scan, and the
+oracle's listing for the general and oracle routes.  `solve`, `count_full`
+and `enumerate_full` take a route name, checked by `route_of`, or an entry
+`route_of` already resolved, and default to the clone's route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        SolveOutcome, candidate_explanation, extend_to_full,
-                        entails_manifestation, is_explanation, oracle_count_full,
-                        oracle_enumerate, oracle_solve)
-from .errors import CloneMismatchError, ResourceBudgetError
+                        SolveOutcome, extend_to_full, entails_manifestation,
+                        first_hit, is_explanation, oracle_count_full,
+                        oracle_enumerate, oracle_solve, scan_candidates)
+from .errors import CloneMismatchError
 from .formula import (App, Const, Formula, Literal, Var, eval_formula,
                       free_vars)
 from .truthtable import TruthTable, function_properties
@@ -282,10 +282,14 @@ def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
 @dataclass(frozen=True)
 class AffineSystem:
     """Equations over an ordered variable list; each row is a (column mask,
-    right-hand bit) pair meaning XOR of the masked variables = bit."""
+    right-hand bit) pair meaning XOR of the masked variables = bit.
+    `negation` holds the row groups of the negated manifestation:
+    explanations must avoid the projection of the system extended by EVERY
+    group separately for terms, and by the single group jointly otherwise."""
 
     cols: tuple[str, ...]
     rows: tuple[tuple[int, int], ...]
+    negation: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _connectives(phi: Formula) -> set[TruthTable]:
@@ -381,43 +385,29 @@ def _project(rows: Iterable[tuple[int, int]], split: int,
 
 
 def build_affine_system(inst: AbductionInstance) -> AffineSystem:
-    """The knowledge-base system, hypothesis columns last."""
+    """The knowledge-base system, hypothesis columns last, with the
+    negated manifestation's row groups."""
     non_hyp = [v for v in inst.variables if v not in inst.hypotheses]
     cols = tuple(non_hyp) + tuple(inst.hypotheses)
     index = {v: j for j, v in enumerate(cols)}
-    rows = []
-    for phi in inst.kb:
-        eqvars, rhs = formula_equation(phi)
+
+    def row(eqvars: Iterable[str], rhs: int) -> tuple[int, int]:
         mask = 0
         for v in eqvars:
             mask |= 1 << index[v]
-        rows.append((mask, rhs))
-    return AffineSystem(cols, tuple(rows))
+        return mask, rhs
 
-
-def _negation_rows(inst: AbductionInstance,
-                   system: AffineSystem) -> list[list[tuple[int, int]]]:
-    """Row groups for the negated manifestation.  Explanations must avoid
-    the projection of the base system extended by EVERY group separately for
-    terms, and by the single group jointly otherwise."""
-    index = {v: j for j, v in enumerate(system.cols)}
-
-    def unit(l: Literal, value: int) -> tuple[int, int]:
-        return 1 << index[l.var], value
-
-    if inst.variant == "Q":
-        l = inst.manifestation
-        return [[unit(l, 0 if l.positive else 1)]]
-    if inst.variant == "C":
-        return [[unit(l, 0 if l.positive else 1) for l in inst.manifestation]]
-    if inst.variant == "T":
-        return [[unit(l, 0 if l.positive else 1)]
-                for l in inst.manifestation]
-    eqvars, rhs = formula_equation(inst.manifestation)
-    mask = 0
-    for v in eqvars:
-        mask |= 1 << index[v]
-    return [[(mask, rhs ^ 1)]]
+    rows = tuple(row(*formula_equation(phi)) for phi in inst.kb)
+    if inst.variant == "F":
+        eqvars, rhs = formula_equation(inst.manifestation)
+        negation = ((row(eqvars, rhs ^ 1),),)
+    else:
+        mlits = ([inst.manifestation] if inst.variant == "Q"
+                 else inst.manifestation)
+        units = tuple(row([l.var], 0 if l.positive else 1) for l in mlits)
+        negation = (tuple((u,) for u in units) if inst.variant == "T"
+                    else (units,))
+    return AffineSystem(cols, rows, negation)
 
 
 @dataclass
@@ -440,15 +430,14 @@ def _affine_analyze(inst: AbductionInstance, system: AffineSystem,
     base = _project(rows, split, num_hyp)
     if not base.feasible:
         return _AffineAnalysis(False, None, 0)
-    groups = _negation_rows(inst, system)
 
     if inst.variant == "T":
         # each group adds one equation; within the base projection its
         # projection is everything, nothing, or a hyperplane whose flipped
         # form the witness must satisfy
         good_rows = list(base.apivots.values())
-        for group in groups:
-            ext = _project(rows + group, split, num_hyp)
+        for group in system.negation:
+            ext = _project(rows + list(group), split, num_hyp)
             if not ext.feasible:
                 continue  # that literal is already entailed
             if ext.dim == base.dim:
@@ -466,8 +455,8 @@ def _affine_analyze(inst: AbductionInstance, system: AffineSystem,
         dim = num_hyp - len(good)
         return _AffineAnalysis(True, _particular_solution(good), 1 << dim)
 
-    (group,) = groups
-    ext = _project(rows + group, split, num_hyp)
+    (group,) = system.negation
+    ext = _project(rows + list(group), split, num_hyp)
     if not ext.feasible:
         count = 1 << base.dim
         return _AffineAnalysis(True, _particular_solution(base.apivots),
@@ -520,33 +509,34 @@ def _affine_decider(inst: AbductionInstance) -> Decide:
 # ---------------------------------------------------------------------------
 # Monotone candidate scan
 
-def _monotone_sigma(inst: AbductionInstance, e: Explanation,
-                    false_vars: Iterable[str] = ()) -> dict[str, int]:
-    sigma = {v: 1 for v in inst.variables}
-    for l in e.literals:
-        sigma[l.var] = 1 if l.positive else 0
-    for v in false_vars:
-        sigma[v] = 0
-    return sigma
+def _monotone_kb(inst: AbductionInstance
+                 ) -> Callable[[Explanation, Iterable[str]], bool]:
+    """Whether the knowledge base holds with a candidate's literals, the
+    given variables false and every other variable true; the all-true
+    assignment is built once, here."""
+    all_true = dict.fromkeys(inst.variables, 1)
+
+    def holds(e: Explanation, false_vars: Iterable[str] = ()) -> bool:
+        sigma = dict(all_true)
+        sigma.update((l.var, int(l.positive)) for l in e.literals)
+        sigma.update(dict.fromkeys(false_vars, 0))
+        return all(eval_formula(phi, sigma) == 1 for phi in inst.kb)
+
+    return holds
 
 
 def _monotone_kb_sat(inst: AbductionInstance, e: Explanation) -> bool:
     """With hypotheses fixed, a monotone knowledge base is satisfiable iff
     setting every remaining variable true satisfies it."""
-    sigma = _monotone_sigma(inst, e)
-    return all(eval_formula(phi, sigma) == 1 for phi in inst.kb)
+    return _monotone_kb(inst)(e)
 
 
-def _monotone_entails_clause(inst: AbductionInstance, e: Explanation,
-                             atoms: Iterable[str]) -> bool:
-    """Entailment of a positive clause: force its atoms false; the best case
-    for the rest is still all-true."""
-    sigma = _monotone_sigma(inst, e, atoms)
-    return not all(eval_formula(phi, sigma) == 1 for phi in inst.kb)
-
-
-def solve_monotone(inst: AbductionInstance,
-                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
+def _monotone_accepts(inst: AbductionInstance
+                      ) -> Callable[[Explanation], bool] | None:
+    """The explanation test of the monotone scan, or None when the
+    manifestation rules out every candidate.  A positive clause is entailed
+    iff forcing its atoms false breaks the knowledge base even with the rest
+    all true."""
     if inst.variant == "F":
         raise CloneMismatchError(
             "monotone scan handles literal, clause and term manifestations")
@@ -558,33 +548,40 @@ def solve_monotone(inst: AbductionInstance,
         set(positive) & set(negative))
     if inst.variant == "T" and negative:
         # a satisfiable monotone KB extension never entails a negative literal
-        return SolveOutcome(False, None, "monotone-scan")
+        return None
     if inst.variant in ("Q", "C") and not positive and not tautological:
-        return SolveOutcome(False, None, "monotone-scan")
+        return None
+    holds = _monotone_kb(inst)
 
-    hyp = inst.hypotheses
-    total = 1 << len(hyp)
-    for index in range(total):
-        if index >= budget:
-            raise ResourceBudgetError(
-                f"monotone scan budget {budget} candidates exceeded")
-        e = candidate_explanation(hyp, index)
-        if not _monotone_kb_sat(inst, e):
-            continue
+    def accepts(e: Explanation) -> bool:
+        if not holds(e):
+            return False
         if tautological:
-            entailed = True
-        elif inst.variant == "T":
-            entailed = all(_monotone_entails_clause(inst, e, [v])
-                           for v in positive)
-        else:
-            entailed = _monotone_entails_clause(inst, e, positive)
-        if entailed:
-            assert is_explanation(inst, e)
-            return SolveOutcome(True, e, "monotone-scan",
-                                certificate_checked=True,
-                                candidates_tried=index + 1)
-    return SolveOutcome(False, None, "monotone-scan",
-                        candidates_tried=total)
+            return True
+        if inst.variant == "T":
+            return not any(holds(e, [v]) for v in positive)
+        return not holds(e, positive)
+
+    return accepts
+
+
+def _monotone_explanations(inst: AbductionInstance) -> Iterator[Explanation]:
+    accepts = _monotone_accepts(inst)
+    if accepts is not None:
+        for _, e in scan_candidates(inst, accepts, DEFAULT_CANDIDATE_BUDGET,
+                                    "monotone"):
+            yield e
+
+
+def solve_monotone(inst: AbductionInstance,
+                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
+    accepts = _monotone_accepts(inst)
+    if accepts is None:
+        return SolveOutcome(False, None, "monotone-scan")
+    hits = scan_candidates(inst, accepts, budget, "monotone")
+    out = first_hit(inst, hits, "monotone-scan")
+    assert not out.found or is_explanation(inst, out.explanation)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,29 +589,13 @@ def solve_monotone(inst: AbductionInstance,
 
 def solve_general(inst: AbductionInstance,
                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    hyp = inst.hypotheses
-    total = 1 << len(hyp)
-    for index in range(total):
-        if index >= budget:
-            raise ResourceBudgetError(
-                f"general scan budget {budget} candidates exceeded")
-        e = candidate_explanation(hyp, index)
-        if is_explanation(inst, e):
-            return SolveOutcome(True, e, "general-scan",
-                                certificate_checked=True,
-                                candidates_tried=index + 1)
-    return SolveOutcome(False, None, "general-scan", candidates_tried=total)
+    hits = scan_candidates(inst, lambda e: is_explanation(inst, e), budget,
+                           "general")
+    return first_hit(inst, hits, "general-scan")
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
-
-def _oracle_within_v(inst: AbductionInstance) -> None:
-    """No walk: the oracle lists the explanations, for V only."""
-    if not clone_leq(identify_clone(inst.fns), _V):
-        raise CloneMismatchError(
-            "enumeration requires a knowledge base within L, E/N or V")
-
 
 @dataclass(frozen=True)
 class Route:
@@ -624,7 +605,7 @@ class Route:
     solve: Callable[[AbductionInstance, int], SolveOutcome]
     count: Callable[[AbductionInstance], int]
     count_label: str
-    decider: Callable[[AbductionInstance], Decide | None]
+    explanations: Callable[[AbductionInstance], Iterable[Explanation]]
 
 
 # First match wins, in this order.  The lambdas look every algorithm up by
@@ -634,33 +615,34 @@ ROUTES: dict[str, Route] = {
         applies=lambda c, v: clone_leq(c, _E) or clone_leq(c, _N),
         solve=lambda i, b: solve_literal_kb(i),
         count=lambda i: _count_literal_kb(i), count_label="literal-KB",
-        decider=lambda i: _literal_decider(i)),
+        explanations=lambda i: _walk(i.hypotheses, _literal_decider(i))),
     "disjunctive": Route(
         applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
         solve=lambda i, b: solve_disjunctive_kb(i),
         count=lambda i: len(_walk(i.hypotheses, _disjunctive_decider(i))),
         count_label="V-witness",
-        decider=lambda i: _disjunctive_decider(i)),
+        explanations=lambda i: _walk(i.hypotheses, _disjunctive_decider(i))),
     "affine": Route(
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
         count=lambda i: count_affine(i), count_label="affine",
-        decider=lambda i: _affine_decider(i)),
+        explanations=lambda i: _walk(i.hypotheses, _affine_decider(i))),
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),
-        count=lambda i: oracle_count_full(i), count_label="oracle",
-        decider=lambda i: _oracle_within_v(i)),
+        count=lambda i: sum(1 for _ in _monotone_explanations(i)),
+        count_label="monotone-scan",
+        explanations=lambda i: _monotone_explanations(i)),
     "general": Route(
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
         count=lambda i: oracle_count_full(i), count_label="oracle",
-        decider=lambda i: _oracle_within_v(i)),
+        explanations=lambda i: oracle_enumerate(i)),
     "oracle": Route(
         applies=lambda c, v: False,
         solve=lambda i, b: oracle_solve(i),
         count=lambda i: oracle_count_full(i), count_label="oracle",
-        decider=lambda i: None),
+        explanations=lambda i: oracle_enumerate(i)),
 }
 
 
@@ -703,16 +685,16 @@ def count_full(inst: AbductionInstance,
                route: str | Route | None = None) -> int:
     """Exact number of full explanations.  Counting is #P-hard already for
     disjunctive knowledge bases, so the disjunctive route counts the leaves
-    of its enumeration walk, and everything beyond the literal, disjunctive
-    and affine routes falls back to the brute-force oracle."""
+    of its enumeration walk, the monotone route the hits of its scan, and
+    the general route falls back to the brute-force oracle."""
     return _entry(inst, route).count(inst)
 
 
-def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
+def _walk(hyp: Sequence[str], decide: Decide) -> list[Explanation]:
     """The full prefixes accepted by `decide`, by self-reduction: branch on
     each hypothesis variable (negative first) and descend only into
     subtrees whose prefix `decide` accepts."""
-    out: list[tuple[Literal, ...]] = []
+    out: list[Explanation] = []
     prefix: list[Literal] = []
 
     def visit() -> None:
@@ -720,7 +702,7 @@ def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
             return
         depth = len(prefix)
         if depth == len(hyp):
-            out.append(tuple(prefix))
+            out.append(Explanation(tuple(prefix)))
             return
         for positive in (False, True):
             prefix.append(Literal(hyp[depth], positive))
@@ -733,9 +715,5 @@ def _walk(hyp: Sequence[str], decide: Decide) -> list[tuple[Literal, ...]]:
 
 def enumerate_full(inst: AbductionInstance,
                    route: str | Route | None = None) -> list[Explanation]:
-    """All full explanations in canonical order: the walk over the route's
-    decider, or the oracle when the route has none."""
-    decide = _entry(inst, route).decider(inst)
-    if decide is None:
-        return oracle_enumerate(inst)
-    return [Explanation(p) for p in _walk(inst.hypotheses, decide)]
+    """All full explanations in canonical order, as the route lists them."""
+    return list(_entry(inst, route).explanations(inst))

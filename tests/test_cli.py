@@ -266,3 +266,27 @@ def test_memory_error_exits_3_without_output(inst_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+# Manifestations that mention a hypothesis: the literal, disjunctive and
+# monotone routes assume they do not, and answered "no explanation" (or
+# count 0) where the oracle finds one.
+OVERLAPPING = [
+    "fn or 2 0111\nfn and 2 0001\nkb (or (and a b) c)\nhyp a\nterm a\n",
+    "fn maj 3 00010111\nkb (maj a b c)\nhyp a b\nquery !a\n",
+    "fn or 2 0111\nkb (or a b)\nhyp a\nquery !a\n",
+]
+
+
+@pytest.mark.parametrize("text", OVERLAPPING)
+@pytest.mark.parametrize("command", ["solve", "count", "enumerate", "verify"])
+def test_manifestation_overlapping_hypotheses_exits_2(tmp_path, capsys, text,
+                                                      command):
+    p = tmp_path / "inst.txt"
+    p.write_text(text)
+    argv = [command, str(p)] + (["a"] if command == "verify" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: manifestation overlaps hypotheses: a\n"

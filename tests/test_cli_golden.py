@@ -2,10 +2,13 @@
 
 `cli_golden.json` holds, for one small instance per route and variant, the
 exact stdout and exit code of each command, as text and with `--json`. It
-was captured before solve, count and enumerate shared one route table. The
-one intended difference since then: the disjunctive route counts with its
-enumeration walk instead of the oracle, so its count method reads
-`V-witness` instead of `oracle`.
+was captured before solve, count and enumerate shared one route table.
+`_expected` applies the intended differences since then:
+- the disjunctive route counts with its enumeration walk and the monotone
+  route with its own scan instead of the oracle, so their count methods
+  read `V-witness` and `monotone-scan` instead of `oracle`;
+- `enumerate` on the monotone and general routes outside V lists the
+  explanations (in the oracle's canonical order) instead of exiting 2.
 """
 
 import json
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cloneabd.abduction import parse_instance
+from cloneabd.abduction import oracle_enumerate, parse_instance
 from cloneabd.cli import main
 from cloneabd.solvers import route_of
 
@@ -25,11 +28,24 @@ def _case_id(case):
     return f"{case['route']}-{case['base']}-{case['variant']}-{found}"
 
 
-def _expected(case, command, stdout):
-    if case["route"] == "disjunctive" and command.startswith("count"):
-        return (stdout.replace('"method": "oracle"', '"method": "V-witness"')
-                .replace("(method oracle)", "(method V-witness)"))
-    return stdout
+COUNT_LABELS = {"disjunctive": "V-witness", "monotone": "monotone-scan"}
+
+
+def _expected(case, command, code, stdout):
+    name = command.split()[0]
+    label = COUNT_LABELS.get(case["route"])
+    if name == "count" and label:
+        return code, (stdout.replace('"method": "oracle"',
+                                     f'"method": "{label}"')
+                      .replace("(method oracle)", f"(method {label})"))
+    if name == "enumerate" and code == 2 \
+            and case["route"] in ("monotone", "general"):
+        listed = [e.serialize()
+                  for e in oracle_enumerate(parse_instance(case["instance"]))]
+        if "--json" in command:
+            return 0, json.dumps({"explanations": listed}) + "\n"
+        return 0, "".join(e + "\n" for e in listed)
+    return code, stdout
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=_case_id)
@@ -41,4 +57,4 @@ def test_cli_output_is_pinned(case, tmp_path, capsys):
         name, *flags = command.split()
         got = main([name, str(path), *flags])
         out = capsys.readouterr().out
-        assert (got, out) == (code, _expected(case, command, stdout)), command
+        assert (got, out) == _expected(case, command, code, stdout), command

@@ -3,9 +3,10 @@
 import pytest
 
 from cloneabd.abduction import (AbductionInstance, Explanation,
-                                is_explanation, oracle_count_full,
-                                oracle_enumerate, oracle_solve)
-from cloneabd.errors import CloneMismatchError
+                                candidate_explanation, is_explanation,
+                                oracle_count_full, oracle_enumerate,
+                                oracle_solve)
+from cloneabd.errors import CloneMismatchError, ResourceBudgetError
 from cloneabd.formula import parse_formula
 from cloneabd.lattice import all_clone_ids, base_of
 from cloneabd.reductions import gen_random_instance
@@ -155,7 +156,7 @@ def test_count_matches_oracle(base_idx):
         assert count_full(inst) == oracle_count_full(inst)
 
 
-@pytest.mark.parametrize("base", [[OR], [AND], [XOR3]])
+@pytest.mark.parametrize("base", [[OR], [AND], [XOR3], [MAJ3], [OR, AND]])
 def test_enumerate_matches_oracle(base):
     fns = FunctionSet(base)
     for variant in "QCTF":
@@ -165,6 +166,7 @@ def test_enumerate_matches_oracle(base):
             want = [e.serialize() for e in oracle_enumerate(inst)]
             assert got == want, (base, variant, seed)
             assert len(got) == len(set(got))
+            assert count_full(inst) == len(want), (base, variant, seed)
 
 
 def test_solve_outcome_invariants():
@@ -179,8 +181,7 @@ def test_every_clone_agrees_with_oracle(clone):
     """One instance per clone of Post's lattice (degree-2 families) and
     variant, beyond the fixed bases above: solve, count and enumeration by
     the clone's route and by every named route against the oracle.  A named
-    route outside its clone is refused by all three; the monotone and
-    general routes list explanations only within V."""
+    route outside its clone is refused by all three."""
     for variant in "QCTF":
         inst = gen_random_instance(0, base_of(clone), variant=variant)
         found = oracle_solve(inst).found
@@ -190,7 +191,7 @@ def test_every_clone_agrees_with_oracle(clone):
         for route in (None, *ROUTES):
             where = (variant, route)
             try:
-                name = route_of(inst, route)
+                route_of(inst, route)
             except CloneMismatchError:
                 assert route is not None, where
                 for run in (solve, count_full, enumerate_full):
@@ -199,11 +200,7 @@ def test_every_clone_agrees_with_oracle(clone):
                 continue
             assert solve(inst, route=route).found == found, where
             assert count_full(inst, route) == count, where
-            try:
-                listed = [e.serialize() for e in enumerate_full(inst, route)]
-            except CloneMismatchError:
-                assert name in ("monotone", "general"), where
-                continue
+            listed = [e.serialize() for e in enumerate_full(inst, route)]
             assert listed == want, where
 
 
@@ -227,3 +224,18 @@ def test_disjunctive_count_beyond_oracle_scale():
         counts.append(count_full(inst))
         assert counts[-1] == len(enumerate_full(inst))
     assert counts == [0, 212]
+
+
+def test_monotone_count_beyond_oracle_scale():
+    # 22 variables: more than the oracle accepts
+    inst = gen_random_instance(4, FunctionSet([MAJ3]), num_vars=22,
+                               num_formulas=8, num_hyp=8)
+    assert route_of(inst) == "monotone"
+    assert len(inst.variables) == 22
+    with pytest.raises(ResourceBudgetError):
+        oracle_count_full(inst)
+    listed = enumerate_full(inst)
+    assert count_full(inst) == len(listed) == 200
+    hyp = inst.hypotheses
+    assert listed == [e for i in range(1 << len(hyp)) if is_explanation(
+        inst, e := candidate_explanation(hyp, i))]
