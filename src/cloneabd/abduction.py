@@ -16,7 +16,7 @@ from .errors import InputError, ResourceBudgetError
 from .formula import (App, Const, Formula, Literal, Var, encode_cnf,
                       free_vars, parse_formula, parse_literal, render_formula,
                       substitute_map)
-from .sat import sat_solve
+from .sat import Solver, sat_solve
 from .truthtable import NOT, OR, FunctionSet, TruthTable
 
 ORACLE_MAX_HYP = 16
@@ -172,34 +172,73 @@ def _check_candidate(inst: AbductionInstance, e: Explanation) -> None:
             f"{', '.join(sorted(extra))}")
 
 
-def _kb_sat(inst: AbductionInstance, assumptions: Iterable[Literal]) -> bool:
-    enc = encode_cnf(inst.kb, assumptions, inst.variables)
-    return sat_solve(enc.clauses, enc.num_vars).is_sat
+class ExplanationTest:
+    """The SAT side of the explanation test for one instance.  Gamma is
+    encoded once over the instance's variables, and for variant F so is
+    Gamma with the negated manifestation; each question is then answered by
+    `sat_solve` calls on these prepared solvers, with the literals as
+    assumptions (one call, or one per term literal for variant T)."""
+
+    def __init__(self, inst: AbductionInstance) -> None:
+        self.inst = inst
+        enc = encode_cnf(inst.kb, (), inst.variables)
+        self._var_of = enc.var_of
+        self._kb = Solver(enc.clauses, enc.num_vars)
+        if inst.variant == "F":
+            negation = App(NOT, (inst.manifestation,))
+            enc = encode_cnf(list(inst.kb) + [negation], (), inst.variables)
+            self._kb_and_negation = Solver(enc.clauses, enc.num_vars)
+        else:
+            mlits = ([inst.manifestation] if inst.variant == "Q"
+                     else inst.manifestation)
+            self._negation = [-l for l in self._assumptions(mlits)]
+
+    def _assumptions(self, literals: Iterable[Literal]) -> list[int]:
+        out = []
+        for l in literals:
+            v = self._var_of.get(l.var)
+            if v is None:
+                raise InputError(
+                    f"literal over a variable outside the instance: "
+                    f"{l.var!r}")
+            out.append(v if l.positive else -v)
+        return out
+
+    def kb_sat(self, literals: Iterable[Literal]) -> bool:
+        """Gamma + literals is satisfiable."""
+        return sat_solve(self._kb,
+                         assumptions=self._assumptions(literals)).is_sat
+
+    def entails(self, literals: Iterable[Literal]) -> bool:
+        """Gamma + literals |= psi, by refutation."""
+        assumed = self._assumptions(literals)
+        if self.inst.variant == "F":
+            return not sat_solve(self._kb_and_negation,
+                                 assumptions=assumed).is_sat
+        if self.inst.variant == "T":
+            return all(
+                not sat_solve(self._kb, assumptions=assumed + [n]).is_sat
+                for n in self._negation)
+        return not sat_solve(self._kb,
+                             assumptions=assumed + self._negation).is_sat
 
 
 def entails_manifestation(inst: AbductionInstance,
-                          assumptions: Iterable[Literal]) -> bool:
-    """Gamma + assumptions |= psi, by refutation SAT calls."""
-    assumptions = list(assumptions)
-    if inst.variant == "Q":
-        return not _kb_sat(inst, assumptions + [inst.manifestation.negated()])
-    if inst.variant == "C":
-        negated = [l.negated() for l in inst.manifestation]
-        return not _kb_sat(inst, assumptions + negated)
-    if inst.variant == "T":
-        return all(not _kb_sat(inst, assumptions + [l.negated()])
-                   for l in inst.manifestation)
-    negation = App(NOT, (inst.manifestation,))
-    enc = encode_cnf(list(inst.kb) + [negation], assumptions, inst.variables)
-    return not sat_solve(enc.clauses, enc.num_vars).is_sat
+                          assumptions: Iterable[Literal],
+                          test: ExplanationTest | None = None) -> bool:
+    """Gamma + assumptions |= psi, on `test` (a fresh one when None)."""
+    test = test if test is not None else ExplanationTest(inst)
+    return test.entails(assumptions)
 
 
-def is_explanation(inst: AbductionInstance, e: Explanation) -> bool:
-    """Gamma and E consistent, and Gamma and E entail the manifestation."""
+def is_explanation(inst: AbductionInstance, e: Explanation,
+                   test: ExplanationTest | None = None) -> bool:
+    """Gamma and E consistent, and Gamma and E entail the manifestation;
+    decided on `test` (a fresh one when None)."""
     _check_candidate(inst, e)
-    if not _kb_sat(inst, e.literals):
-        return False
-    return entails_manifestation(inst, e.literals)
+    test = test if test is not None else ExplanationTest(inst)
+    return (test.kb_sat(e.literals)
+            and entails_manifestation(inst, e.literals, test))
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +293,19 @@ def first_hit(inst: AbductionInstance,
                         candidates_tried=1 << len(inst.hypotheses))
 
 
-def _oracle_hits(inst: AbductionInstance
+def explanation_hits(inst: AbductionInstance, budget: int | None,
+                     scan: str) -> Iterator[tuple[int, Explanation]]:
+    """The full explanations as `scan_candidates` hits, every candidate
+    decided by `is_explanation` on one `ExplanationTest`."""
+    test = ExplanationTest(inst)
+    return scan_candidates(inst, lambda e: is_explanation(inst, e, test),
+                           budget, scan)
+
+
+def _oracle_hits(inst: AbductionInstance, budget: int | None = None
                  ) -> Iterator[tuple[int, Explanation]]:
     _oracle_scale_check(inst)
-    return scan_candidates(inst, lambda e: is_explanation(inst, e))
+    return explanation_hits(inst, budget, "oracle")
 
 
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
@@ -269,13 +317,15 @@ def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
     return first_hit(inst, _oracle_hits(inst), "oracle")
 
 
-def oracle_count_full(inst: AbductionInstance) -> int:
-    return sum(1 for _ in _oracle_hits(inst))
+def oracle_count_full(inst: AbductionInstance,
+                      budget: int | None = None) -> int:
+    return sum(1 for _ in _oracle_hits(inst, budget))
 
 
-def oracle_enumerate(inst: AbductionInstance) -> list[Explanation]:
+def oracle_enumerate(inst: AbductionInstance,
+                     budget: int | None = None) -> list[Explanation]:
     """All full explanations, in canonical candidate order."""
-    return [e for _, e in _oracle_hits(inst)]
+    return [e for _, e in _oracle_hits(inst, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +417,8 @@ def extend_to_full(inst: AbductionInstance, e: Explanation) -> Explanation:
     """Extend an explanation to a full one: missing hypothesis variables in
     sorted order, positive literal first, kept when Gamma plus the extended
     set stays satisfiable."""
-    if not is_explanation(inst, e):
+    test = ExplanationTest(inst)
+    if not is_explanation(inst, e, test):
         raise InputError("extend_to_full requires an explanation")
     literals = list(e.literals)
     assigned = set(e.atoms)
@@ -375,12 +426,12 @@ def extend_to_full(inst: AbductionInstance, e: Explanation) -> Explanation:
         if v in assigned:
             continue
         positive = Literal(v, True)
-        if _kb_sat(inst, literals + [positive]):
+        if test.kb_sat(literals + [positive]):
             literals.append(positive)
         else:
             literals.append(Literal(v, False))
     full = Explanation(tuple(literals))
-    assert is_explanation(inst, full)
+    assert is_explanation(inst, full, test)
     return full
 
 

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import reductions, solvers
-from .abduction import (Explanation, entails_manifestation, is_explanation,
-                        parse_instance, serialize_instance, _kb_sat)
+from .abduction import (Explanation, ExplanationTest, entails_manifestation,
+                        is_explanation, parse_instance, serialize_instance)
 from .errors import (AbdError, InputError, NoRepresentationError,
                      ResourceBudgetError)
 from .formula import render_formula
@@ -122,7 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     inst, route = _instance_and_route(args)
-    count = solvers.count_full(inst, route)
+    count = solvers.count_full(inst, route, args.budget)
     method = route.count_label
     _emit(args, {"count": count, "method": method, "exact": True},
           f"full explanations: {count} (method {method})")
@@ -131,7 +131,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     inst, route = _instance_and_route(args)
-    results = solvers.enumerate_full(inst, route)
+    results = solvers.enumerate_full(inst, route, args.budget)
     if args.json:
         print(json.dumps({"explanations":
                           [e.serialize() for e in results]}, sort_keys=True))
@@ -144,10 +144,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     e = Explanation.parse(args.explanation)
-    satisfiable = _kb_sat(inst, e.literals)
-    entails = entails_manifestation(inst, e.literals)
-    ok = satisfiable and entails
-    assert ok == is_explanation(inst, e)
+    test = ExplanationTest(inst)
+    ok = is_explanation(inst, e, test)
+    satisfiable = test.kb_sat(e.literals)
+    entails = entails_manifestation(inst, e.literals, test)
+    assert ok == (satisfiable and entails)
     payload = {"isExplanation": ok, "satisfiableWithE": satisfiable,
                "entailsManifestation": entails}
     _emit(args, payload,

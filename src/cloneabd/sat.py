@@ -1,9 +1,22 @@
-"""A small complete SAT solver: unit-propagating backtracking search with
-deterministic branching (lowest-index unassigned variable, false first)."""
+"""A complete SAT solver for repeated queries on one clause set.
+
+`Solver` prepares the clauses once: duplicate literals and clauses go,
+tautologies are dropped, binary clauses become implication lists, two
+literals of every longer clause are watched and the unit clauses are
+propagated at level 0.  Each `sat_solve` call then searches under
+assumption literals with an explicit trail and decision stack, and returns
+to the level-0 trail afterwards (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003).  Branching is deterministic: the lowest-index
+unassigned variable, false first, chronological backtracking and no
+learning, so a satisfiable call returns the least model with variable 1
+most significant and false before true.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from .errors import ResourceBudgetError
 
@@ -27,102 +40,201 @@ class SatResult:
         return self.status == "sat"
 
 
-def _check_model(clauses: list[list[int]], model: dict[int, bool]) -> bool:
-    return all(any(model.get(abs(l), False) == (l > 0) for l in c)
-               for c in clauses)
+class Solver:
+    """A clause set prepared for `sat_solve` calls under assumptions.
 
+    Tables indexed by literal have 2n+1 slots and use Python's negative
+    indexing: slot v belongs to literal v and slot -v (that is, 2n+1-v) to
+    literal -v.  `_value[lit]` is True, False or None (unassigned).
+    `_implied[lit]` lists the literals that binary clauses force once `lit`
+    is false, and `_watches[lit]` the longer clauses that watch `lit`,
+    which are those whose first or second literal it is.
+    """
 
-def sat_solve(clauses: list[list[int]], num_vars: int | None = None,
-              stats: SatStats | None = None,
-              conflict_cap: int | None = None) -> SatResult:
-    """Complete decision procedure; returned models are re-checked against
-    every input clause."""
-    stats = stats if stats is not None else SatStats()
-    stats.calls += 1
-    if num_vars is None:
-        num_vars = max((abs(l) for c in clauses for l in c), default=0)
-    if any(not c for c in clauses):
-        return SatResult("unsat", stats=stats)
+    def __init__(self, clauses: Iterable[Sequence[int]],
+                 num_vars: int | None = None) -> None:
+        self.clauses = [tuple(c) for c in clauses]
+        used = max(map(abs, chain.from_iterable(self.clauses)), default=0)
+        self.num_vars = max(used, num_vars or 0)
+        size = 2 * self.num_vars + 1
+        self._value: list[bool | None] = [None] * size
+        self._implied: list[list[int]] = [[] for _ in range(size)]
+        self._watches: list[list[list[int]]] = [[] for _ in range(size)]
+        self._trail: list[int] = []
+        self.root_conflict = False
+        seen: set[frozenset[int]] = set()
+        units = []
+        for c in self.clauses:
+            key = frozenset(c)
+            if key in seen or len(set(map(abs, key))) < len(key):
+                continue  # a duplicate or a tautology
+            seen.add(key)
+            lits = list(c) if len(key) == len(c) else list(dict.fromkeys(c))
+            if not lits:
+                self.root_conflict = True
+            elif len(lits) == 1:
+                units.append(lits[0])
+            elif len(lits) == 2:
+                self._implied[lits[0]].append(lits[1])
+                self._implied[lits[1]].append(lits[0])
+            else:
+                self._watches[lits[0]].append(lits)
+                self._watches[lits[1]].append(lits)
+        if not self.root_conflict:
+            self.root_conflict = not (
+                all(self._assign(u) for u in units)
+                and self._propagate(0, SatStats()))
 
-    assignment: dict[int, bool] = {}
-    trail: list[int] = []
-    # watch by variable: clause indexes mentioning it
-    occurs: dict[int, list[int]] = {}
-    for idx, c in enumerate(clauses):
-        for l in c:
-            occurs.setdefault(abs(l), []).append(idx)
-
-    def clause_state(idx: int) -> tuple[str, int]:
-        """-> ("sat"|"conflict"|"unit"|"open", unit literal or 0)."""
-        unassigned = 0
-        count = 0
-        for l in clauses[idx]:
-            val = assignment.get(abs(l))
-            if val is None:
-                unassigned = l
-                count += 1
-                if count > 1:
-                    return "open", 0
-            elif val == (l > 0):
-                return "sat", 0
-        if count == 1:
-            return "unit", unassigned
-        return "conflict", 0
-
-    def assign(lit: int) -> bool:
-        """Assign and propagate; False on conflict (trail not rewound)."""
-        queue = [lit]
-        while queue:
-            l = queue.pop()
-            var, val = abs(l), l > 0
-            cur = assignment.get(var)
-            if cur is not None:
-                if cur != val:
-                    return False
-                continue
-            assignment[var] = val
-            trail.append(var)
-            for idx in occurs.get(var, ()):
-                state, unit = clause_state(idx)
-                if state == "conflict":
-                    return False
-                if state == "unit":
-                    stats.propagations += 1
-                    queue.append(unit)
+    def _assign(self, lit: int) -> bool:
+        """Make `lit` true unless it is false already (False then)."""
+        current = self._value[lit]
+        if current is not None:
+            return current
+        self._value[lit] = True
+        self._value[-lit] = False
+        self._trail.append(lit)
         return True
 
-    def search() -> bool:
-        var = next((v for v in range(1, num_vars + 1) if v not in assignment),
-                   None)
-        if var is None:
+    def _undo(self, mark: int) -> None:
+        value, trail = self._value, self._trail
+        for lit in trail[mark:]:
+            value[lit] = value[-lit] = None
+        del trail[mark:]
+
+    def _propagate(self, qhead: int, stats: SatStats) -> bool:
+        """Unit propagation of the trail from `qhead` on; False on a
+        conflict."""
+        value, trail = self._value, self._trail
+        implied, watches = self._implied, self._watches
+        propagations = 0
+        try:
+            for true_lit in islice(trail, qhead, None):
+                false_lit = -true_lit
+                for q in implied[false_lit]:
+                    current = value[q]
+                    if current is None:
+                        value[q] = True
+                        value[-q] = False
+                        trail.append(q)
+                        propagations += 1
+                    elif current is False:
+                        return False
+                watchers = watches[false_lit]
+                if not watchers:
+                    continue
+                kept = []
+                moved = 0
+                for c in watchers:
+                    other = c[0]
+                    if other == false_lit:
+                        other = c[1]
+                        c[0], c[1] = other, false_lit
+                    if value[other] is True:
+                        kept.append(c)
+                        continue
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if value[lk] is not False:
+                            c[1], c[k] = lk, false_lit
+                            watches[lk].append(c)
+                            moved += 1
+                            break
+                    else:
+                        kept.append(c)
+                        if value[other] is False:
+                            kept.extend(watchers[len(kept) + moved:])
+                            watches[false_lit] = kept
+                            return False
+                        value[other] = True
+                        value[-other] = False
+                        trail.append(other)
+                        propagations += 1
+                watches[false_lit] = kept
             return True
-        for val in (False, True):
-            stats.decisions += 1
-            mark = len(trail)
-            if assign(var if val else -var) and search():
+        finally:
+            stats.propagations += propagations
+
+    def _search(self, assumptions: Sequence[int], stats: SatStats,
+                conflict_cap: int | None) -> bool:
+        value, trail = self._value, self._trail
+        mark = len(trail)
+        for lit in assumptions:
+            if not 0 < abs(lit) <= self.num_vars:
+                raise ValueError(f"assumption {lit} outside variables "
+                                 f"1..{self.num_vars}")
+            if not self._assign(lit):
+                return False
+        if not self._propagate(mark, stats):
+            return False
+        decisions: list[tuple[int, int]] = []  # (trail mark, literal)
+        var = 1
+        while True:
+            while var <= self.num_vars and value[var] is not None:
+                var += 1
+            if var > self.num_vars:
                 return True
-            while len(trail) > mark:
-                del assignment[trail.pop()]
-            stats.conflicts += 1
-            if conflict_cap is not None and stats.conflicts > conflict_cap:
-                raise ResourceBudgetError(
-                    f"SAT conflict cap {conflict_cap} exceeded")
-        return False
+            lit = -var
+            while True:
+                stats.decisions += 1
+                mark = len(trail)
+                decisions.append((mark, lit))
+                self._assign(lit)
+                if self._propagate(mark, stats):
+                    break
+                # undo failed values; a failed true value fails its parent
+                while True:
+                    mark, lit = decisions.pop()
+                    self._undo(mark)
+                    stats.conflicts += 1
+                    if conflict_cap is not None and \
+                            stats.conflicts > conflict_cap:
+                        raise ResourceBudgetError(
+                            f"SAT conflict cap {conflict_cap} exceeded")
+                    if lit < 0:
+                        break
+                    if not decisions:
+                        return False
+                var = lit = -lit
 
-    # propagate initial units
-    mark = len(trail)
-    for idx in range(len(clauses)):
-        state, unit = clause_state(idx)
-        if state == "conflict":
+    def solve(self, assumptions: Sequence[int] = (),
+              stats: SatStats | None = None,
+              conflict_cap: int | None = None) -> SatResult:
+        """Search under `assumptions`.  The level-0 trail is restored
+        before returning, also when the conflict cap raises."""
+        stats = stats if stats is not None else SatStats()
+        stats.calls += 1
+        if self.root_conflict:
             return SatResult("unsat", stats=stats)
-        if state == "unit" and not assign(unit):
-            return SatResult("unsat", stats=stats)
+        root = len(self._trail)
+        try:
+            if not self._search(assumptions, stats, conflict_cap):
+                return SatResult("unsat", stats=stats)
+            values = self._value[1:self.num_vars + 1]
+        finally:
+            self._undo(root)
+        # the re-check reads only the variables' values, in a literal table
+        # of its own
+        truth = [None, *values, *(not b for b in reversed(values))]
+        assert all(any(map(truth.__getitem__, c)) for c in self.clauses), \
+            "model failed re-check"
+        assert all(map(truth.__getitem__, assumptions)), \
+            "model failed an assumption"
+        return SatResult("sat", dict(enumerate(values, start=1)), stats)
 
-    if search():
-        model = {v: assignment.get(v, False) for v in range(1, num_vars + 1)}
-        assert _check_model(clauses, model), "model failed re-check"
-        return SatResult("sat", model, stats)
-    return SatResult("unsat", stats=stats)
+
+def sat_solve(clauses: Iterable[Sequence[int]] | Solver,
+              num_vars: int | None = None,
+              stats: SatStats | None = None,
+              conflict_cap: int | None = None,
+              assumptions: Sequence[int] = ()) -> SatResult:
+    """Complete decision procedure for the clauses together with the
+    assumption literals.  `clauses` is a clause list or a prepared `Solver`
+    (whose own variable count then stands and `num_vars` is ignored).
+    Returned models are re-checked against every input clause and every
+    assumption."""
+    solver = clauses if isinstance(clauses, Solver) else Solver(clauses,
+                                                                 num_vars)
+    return solver.solve(assumptions, stats, conflict_cap)
 
 
 def enumerate_models(clauses: list[list[int]], num_vars: int,

@@ -7,13 +7,15 @@ constant-time satisfiability shortcut, a general two-SAT-calls-per-candidate
 scan, and the brute-force oracle.  `route_of` picks the first entry whose
 `applies(clone, variant)` holds (never the oracle), and refuses a named
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
-`count(inst)`, `count_label` (the count method the CLI reports) and
-`explanations(inst)`, the full explanations in canonical order: the
+`count(inst, budget)`, `count_label` (the count method the CLI reports) and
+`explanations(inst, budget)`, the full explanations in canonical order: the
 self-reducing walk over a per-instance prefix test for the literal,
 disjunctive and affine routes, the hits of the monotone scan, and the
-oracle's listing for the general and oracle routes.  `solve`, `count_full`
-and `enumerate_full` take a route name, checked by `route_of`, or an entry
-`route_of` already resolved, and default to the clone's route.
+oracle's listing for the general and oracle routes.  The candidate budget
+bounds the monotone and general scans (and the general route's oracle
+count and listing).  `solve`, `count_full` and `enumerate_full` take a
+route name, checked by `route_of`, or an entry `route_of` already
+resolved, and default to the clone's route.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        SolveOutcome, extend_to_full, entails_manifestation,
-                        first_hit, is_explanation, oracle_count_full,
-                        oracle_enumerate, oracle_solve, scan_candidates)
+                        SolveOutcome, entails_manifestation,
+                        explanation_hits, extend_to_full, first_hit,
+                        is_explanation, oracle_count_full, oracle_enumerate,
+                        oracle_solve, scan_candidates)
 from .errors import CloneMismatchError
 from .formula import (App, Const, Formula, Literal, Var, eval_formula,
                       free_vars)
@@ -565,11 +568,11 @@ def _monotone_accepts(inst: AbductionInstance
     return accepts
 
 
-def _monotone_explanations(inst: AbductionInstance) -> Iterator[Explanation]:
+def _monotone_explanations(inst: AbductionInstance,
+                           budget: int) -> Iterator[Explanation]:
     accepts = _monotone_accepts(inst)
     if accepts is not None:
-        for _, e in scan_candidates(inst, accepts, DEFAULT_CANDIDATE_BUDGET,
-                                    "monotone"):
+        for _, e in scan_candidates(inst, accepts, budget, "monotone"):
             yield e
 
 
@@ -585,13 +588,14 @@ def solve_monotone(inst: AbductionInstance,
 
 
 # ---------------------------------------------------------------------------
-# General scan (two SAT calls per candidate)
+# General scan (two SAT calls per candidate, on one per-instance encoding)
 
 def solve_general(inst: AbductionInstance,
                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    hits = scan_candidates(inst, lambda e: is_explanation(inst, e), budget,
-                           "general")
-    return first_hit(inst, hits, "general-scan")
+    hits = explanation_hits(inst, budget, "general")
+    out = first_hit(inst, hits, "general-scan")
+    assert not out.found or is_explanation(inst, out.explanation)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +607,9 @@ class Route:
 
     applies: Callable[[CloneId, str], bool]
     solve: Callable[[AbductionInstance, int], SolveOutcome]
-    count: Callable[[AbductionInstance], int]
+    count: Callable[[AbductionInstance, int], int]
     count_label: str
-    explanations: Callable[[AbductionInstance], Iterable[Explanation]]
+    explanations: Callable[[AbductionInstance, int], Iterable[Explanation]]
 
 
 # First match wins, in this order.  The lambdas look every algorithm up by
@@ -614,35 +618,36 @@ ROUTES: dict[str, Route] = {
     "literal": Route(
         applies=lambda c, v: clone_leq(c, _E) or clone_leq(c, _N),
         solve=lambda i, b: solve_literal_kb(i),
-        count=lambda i: _count_literal_kb(i), count_label="literal-KB",
-        explanations=lambda i: _walk(i.hypotheses, _literal_decider(i))),
+        count=lambda i, b: _count_literal_kb(i), count_label="literal-KB",
+        explanations=lambda i, b: _walk(i.hypotheses, _literal_decider(i))),
     "disjunctive": Route(
         applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
         solve=lambda i, b: solve_disjunctive_kb(i),
-        count=lambda i: len(_walk(i.hypotheses, _disjunctive_decider(i))),
+        count=lambda i, b: len(_walk(i.hypotheses, _disjunctive_decider(i))),
         count_label="V-witness",
-        explanations=lambda i: _walk(i.hypotheses, _disjunctive_decider(i))),
+        explanations=lambda i, b: _walk(i.hypotheses,
+                                        _disjunctive_decider(i))),
     "affine": Route(
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
-        count=lambda i: count_affine(i), count_label="affine",
-        explanations=lambda i: _walk(i.hypotheses, _affine_decider(i))),
+        count=lambda i, b: count_affine(i), count_label="affine",
+        explanations=lambda i, b: _walk(i.hypotheses, _affine_decider(i))),
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),
-        count=lambda i: sum(1 for _ in _monotone_explanations(i)),
+        count=lambda i, b: sum(1 for _ in _monotone_explanations(i, b)),
         count_label="monotone-scan",
-        explanations=lambda i: _monotone_explanations(i)),
+        explanations=lambda i, b: _monotone_explanations(i, b)),
     "general": Route(
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
-        count=lambda i: oracle_count_full(i), count_label="oracle",
-        explanations=lambda i: oracle_enumerate(i)),
+        count=lambda i, b: oracle_count_full(i, b), count_label="oracle",
+        explanations=lambda i, b: oracle_enumerate(i, b)),
     "oracle": Route(
         applies=lambda c, v: False,
         solve=lambda i, b: oracle_solve(i),
-        count=lambda i: oracle_count_full(i), count_label="oracle",
-        explanations=lambda i: oracle_enumerate(i)),
+        count=lambda i, b: oracle_count_full(i), count_label="oracle",
+        explanations=lambda i, b: oracle_enumerate(i)),
 }
 
 
@@ -681,13 +686,13 @@ def solve(inst: AbductionInstance, budget: int = DEFAULT_CANDIDATE_BUDGET,
     return _entry(inst, route).solve(inst, budget)
 
 
-def count_full(inst: AbductionInstance,
-               route: str | Route | None = None) -> int:
+def count_full(inst: AbductionInstance, route: str | Route | None = None,
+               budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Exact number of full explanations.  Counting is #P-hard already for
     disjunctive knowledge bases, so the disjunctive route counts the leaves
     of its enumeration walk, the monotone route the hits of its scan, and
     the general route falls back to the brute-force oracle."""
-    return _entry(inst, route).count(inst)
+    return _entry(inst, route).count(inst, budget)
 
 
 def _walk(hyp: Sequence[str], decide: Decide) -> list[Explanation]:
@@ -713,7 +718,8 @@ def _walk(hyp: Sequence[str], decide: Decide) -> list[Explanation]:
     return out
 
 
-def enumerate_full(inst: AbductionInstance,
-                   route: str | Route | None = None) -> list[Explanation]:
+def enumerate_full(inst: AbductionInstance, route: str | Route | None = None,
+                   budget: int = DEFAULT_CANDIDATE_BUDGET
+                   ) -> list[Explanation]:
     """All full explanations in canonical order, as the route lists them."""
-    return list(_entry(inst, route).explanations(inst))
+    return list(_entry(inst, route).explanations(inst, budget))

@@ -1,10 +1,13 @@
 """Instance semantics, validation, the brute-force oracle and the constant
 elimination transforms."""
 
+import itertools
+
 import pytest
 
 from cloneabd.abduction import (AbductionInstance, EMPTY_EXPLANATION,
-                                Explanation, candidate_explanation,
+                                Explanation, ExplanationTest,
+                                candidate_explanation,
                                 eliminate_false, eliminate_true,
                                 entails_manifestation, extend_to_full,
                                 is_explanation, oracle_count_full,
@@ -12,8 +15,10 @@ from cloneabd.abduction import (AbductionInstance, EMPTY_EXPLANATION,
                                 parse_instance, serialize_instance,
                                 validate_instance)
 from cloneabd.errors import InputError
-from cloneabd.formula import App, Literal, Var, parse_formula
-from cloneabd.truthtable import (AND, CONST0, CONST1, NOT, OR, FunctionSet)
+from cloneabd.formula import App, Literal, Var, eval_formula, parse_formula
+from cloneabd.reductions import gen_random_instance
+from cloneabd.truthtable import (AND, CONST0, CONST1, MAJ3, NOT, OR, XOR3,
+                                 FunctionSet, TruthTable)
 
 from conftest import lit, make_instance
 
@@ -90,6 +95,56 @@ def test_is_explanation():
     assert not is_explanation(inst, Explanation((lit("a"), lit("!b"))))
     # inconsistent with the KB: a∨b fails
     assert not is_explanation(inst, Explanation((lit("!a"), lit("!b"))))
+
+
+def truth_table_is_explanation(inst, e):
+    """Reference by evaluation: Gamma and E have a model, and every such
+    model satisfies the manifestation."""
+    fixed = {l.var: int(l.positive) for l in e.literals}
+    free = [v for v in inst.variables if v not in fixed]
+    consistent = False
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        sigma = {**fixed, **dict(zip(free, bits))}
+        if not all(eval_formula(phi, sigma) for phi in inst.kb):
+            continue
+        consistent = True
+        m = inst.manifestation
+        if inst.variant == "F":
+            holds = eval_formula(m, sigma) == 1
+        elif inst.variant == "Q":
+            holds = sigma[m.var] == m.positive
+        else:
+            hits = [sigma[l.var] == l.positive for l in m]
+            holds = any(hits) if inst.variant == "C" else all(hits)
+        if not holds:
+            return False
+    return consistent
+
+
+# a ternary table drawn at random (random.Random(5)); it generates BF
+RANDOM3 = TruthTable("r3", 3, (1, 1, 0, 1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("fns", [[AND, NOT], [MAJ3], [XOR3], [RANDOM3]],
+                         ids=["and_not", "maj3", "xor3", "random3"])
+def test_one_explanation_test_answers_every_candidate(fns):
+    """One `ExplanationTest` per instance, asked about every partial and
+    full candidate in turn, agrees with a fresh one-shot `is_explanation`
+    and with evaluation."""
+    for seed in range(4):
+        for variant in "QCTF":
+            inst = gen_random_instance(seed, FunctionSet(fns), num_vars=6,
+                                       num_hyp=3, variant=variant)
+            test = ExplanationTest(inst)
+            for signs in itertools.product((None, True, False), repeat=3):
+                e = Explanation(tuple(
+                    Literal(v, positive)
+                    for v, positive in zip(inst.hypotheses, signs)
+                    if positive is not None))
+                got = is_explanation(inst, e, test)
+                assert got == is_explanation(inst, e), (seed, variant, e)
+                assert got == truth_table_is_explanation(inst, e), \
+                    (seed, variant, e)
 
 
 def test_is_explanation_requires_consistency():

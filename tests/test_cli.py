@@ -290,3 +290,32 @@ def test_manifestation_overlapping_hypotheses_exits_2(tmp_path, capsys, text,
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: manifestation overlaps hypotheses: a\n"
+
+
+# Scans whose first explanation lies beyond the first candidate: a
+# monotone-route instance (2^3 candidates, 4 explanations) and an [AND, NOT]
+# instance on the general route (its one explanation is `a`, the second
+# candidate).  A budget of one candidate stops every command, not only
+# `solve`.
+BUDGETED = {
+    "monotone": ("fn maj3 3 00010111\nkb (maj3 a b c)\nkb (maj3 a d c)\n"
+                 "hyp a b d\nquery c\n", []),
+    "general": ("fn and 2 0001\nfn not 1 10\nkb (and a (not c))\nhyp a\n"
+                "query !c\n", ["--method", "general"]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BUDGETED))
+@pytest.mark.parametrize("command", ["solve", "count", "enumerate"])
+def test_budget_reaches_every_command(tmp_path, capsys, route, command):
+    text, method = BUDGETED[route]
+    p = tmp_path / "inst.txt"
+    p.write_text(text)
+    code = main([command, str(p), "--budget", "1", *method])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert main([command, str(p), *method]) == 0
+    capsys.readouterr()

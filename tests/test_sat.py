@@ -1,4 +1,5 @@
-"""The DPLL-style decision procedure and projected model enumeration."""
+"""The watched-literal decision procedure, its incremental use under
+assumptions, and projected model enumeration."""
 
 import itertools
 import random
@@ -6,15 +7,27 @@ import random
 import pytest
 
 from cloneabd.errors import ResourceBudgetError
-from cloneabd.sat import SatStats, enumerate_models, sat_solve
+from cloneabd.sat import SatStats, Solver, enumerate_models, sat_solve
 
 
-def brute_sat(clauses, n):
+def brute_least_model(clauses, n):
+    """The least model, variable 1 most significant and false first, or
+    None."""
     for bits in itertools.product((False, True), repeat=n):
         model = {i + 1: bits[i] for i in range(n)}
         if all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses):
-            return True
-    return False
+            return model
+    return None
+
+
+def brute_sat(clauses, n):
+    return brute_least_model(clauses, n) is not None
+
+
+def random_clauses(rng, n, max_clauses):
+    return [[rng.choice([-1, 1]) * rng.randint(1, n)
+             for _ in range(rng.randint(1, 3) + rng.randint(0, 1))]
+            for _ in range(rng.randint(0, max_clauses))]
 
 
 def test_empty_and_trivial():
@@ -44,6 +57,14 @@ def test_random_agreement_with_brute_force():
         assert sat_solve(clauses, n).is_sat == brute_sat(clauses, n)
 
 
+def test_backtrack_reopens_variables_below_the_failed_decision():
+    # x1 false forces x2 and leaves no value of x3 that works, so the
+    # search returns to x1; x2 is then unassigned again and is decided false
+    clauses = [[1, 2], [1, 3, 4], [1, 3, -4], [1, -3, 4], [1, -3, -4]]
+    res = sat_solve(clauses, 4)
+    assert res.model == {1: True, 2: False, 3: False, 4: False}
+
+
 def test_model_is_total():
     res = sat_solve([[1, 2]], 3)
     assert res.is_sat
@@ -60,6 +81,50 @@ def test_conflict_cap():
     clauses = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
     with pytest.raises(ResourceBudgetError):
         sat_solve(clauses, 2, conflict_cap=0)
+
+
+def test_unforced_chain_of_ten_thousand_variables():
+    # every decision is free, so a recursive search would nest 10 000 deep
+    n = 10_000
+    chain = [[-i, i + 1] for i in range(1, n)]
+    res = sat_solve(chain, n)
+    assert res.is_sat
+    assert not any(res.model.values())
+    assert not sat_solve(chain + [[1], [-n]], n).is_sat
+
+
+def test_prepared_solver_under_assumptions():
+    """Repeated and interleaved assumption sets on one prepared solver:
+    each answer and model equals a fresh solve with the assumptions as unit
+    clauses, and the least model found by brute force."""
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        clauses = random_clauses(rng, n, 4 * n)
+        solver = Solver(clauses, n)
+        queries = [[rng.choice([-1, 1]) * rng.randint(1, n)
+                    for _ in range(rng.randint(0, 3))] for _ in range(4)]
+        for assumptions in queries + queries[::-1]:
+            got = sat_solve(solver, assumptions=assumptions)
+            units = clauses + [[l] for l in assumptions]
+            assert got.model == sat_solve(units, n).model
+            assert got.model == brute_least_model(units, n)
+
+
+def test_prepared_solver_answers_after_conflict_cap():
+    # the first decision, x1 false, conflicts at once
+    clauses = [[1, 2], [1, -2], [-3, 4], [3, 5]]
+    solver = Solver(clauses, 5)
+    for assumptions in ([], [3]):
+        stats = SatStats()
+        with pytest.raises(ResourceBudgetError):
+            sat_solve(solver, stats=stats, conflict_cap=0,
+                      assumptions=assumptions)
+        assert stats.conflicts == 1
+    for assumptions in ([], [-1], [3], [-4], [-4, -5], [2, -3]):
+        got = sat_solve(solver, assumptions=assumptions)
+        units = clauses + [[l] for l in assumptions]
+        assert got.model == brute_least_model(units, 5), assumptions
 
 
 def test_enumerate_models_full():
