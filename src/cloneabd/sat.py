@@ -236,23 +236,3 @@ def sat_solve(clauses: Iterable[Sequence[int]] | Solver,
                                                                  num_vars)
     return solver.solve(assumptions, stats, conflict_cap)
 
-
-def enumerate_models(clauses: list[list[int]], num_vars: int,
-                     project: list[int] | None = None) -> list[tuple[bool, ...]]:
-    """All models, optionally projected onto the given variables, by blocking
-    clauses.  Deterministic, sorted output.  Intended for oracle-scale use."""
-    work = [list(c) for c in clauses]
-    found: set[tuple[bool, ...]] = set()
-    proj = project if project is not None else list(range(1, num_vars + 1))
-    while True:
-        res = sat_solve(work, num_vars)
-        if not res.is_sat:
-            break
-        assert res.model is not None
-        point = tuple(res.model[v] for v in proj)
-        found.add(point)
-        block = [(-v if res.model[v] else v) for v in proj]
-        if not block:
-            break
-        work.append(block)
-    return sorted(found)

@@ -9,18 +9,22 @@ scan, and the brute-force oracle.  `route_of` picks the first entry whose
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `count(inst, budget)`, `count_label` (the count method the CLI reports) and
 `explanations(inst, budget)`, the full explanations in canonical order: the
-self-reducing walk over a per-instance prefix test for the literal,
-disjunctive and affine routes, the hits of the monotone scan, and the
-oracle's listing for the general and oracle routes.  The candidate budget
-bounds the monotone and general scans (and the general route's oracle
-count and listing).  `solve`, `count_full` and `enumerate_full` take a
-route name, checked by `route_of`, or an entry `route_of` already
-resolved, and default to the clone's route.
+product of forced and free hypotheses for the literal route, the points of
+one coset outside another for the affine route (both sets are computed
+once per instance and also give the count), the self-reducing walk over a
+per-instance prefix test for the disjunctive route, the hits of the
+monotone scan, and the oracle's listing for the general and oracle
+routes.  The candidate budget bounds the monotone and general scans (and
+the general route's oracle count and listing).  `solve`, `count_full` and
+`enumerate_full` take a route name, checked by `route_of`, or an entry
+`route_of` already resolved, and default to the clone's route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
@@ -146,31 +150,31 @@ def solve_literal_kb(inst: AbductionInstance) -> SolveOutcome:
     return SolveOutcome(True, e, "literal-KB", certificate_checked=True)
 
 
-def _solvable_forced_literals(inst: AbductionInstance
-                              ) -> dict[str, bool] | None:
-    """The forced-literal map when the instance has an explanation, else
-    None.  The full explanations are then exactly the hypothesis
-    assignments that agree with the map."""
+def _literal_choices(inst: AbductionInstance
+                     ) -> list[tuple[bool, ...]] | None:
+    """Per hypothesis, in order, the polarities a full explanation may give
+    it: the forced one, or both; None when the instance has no explanation.
+    The full explanations are exactly the products of these choices."""
     if not solve_literal_kb(inst).found:
         return None
     forced = _forced_literals(inst)
     assert isinstance(forced, dict)
-    return forced
+    return [(forced[v],) if v in forced else (False, True)
+            for v in inst.hypotheses]
 
 
 def _count_literal_kb(inst: AbductionInstance) -> int:
-    forced = _solvable_forced_literals(inst)
-    if forced is None:
-        return 0
-    return 1 << sum(1 for v in inst.hypotheses if v not in forced)
+    choices = _literal_choices(inst)
+    return 0 if choices is None else prod(len(c) for c in choices)
 
 
-def _literal_decider(inst: AbductionInstance) -> Decide:
-    forced = _solvable_forced_literals(inst)
-    if forced is None:
-        return lambda prefix: False
-    return lambda prefix: all(forced.get(l.var, l.positive) == l.positive
-                              for l in prefix)
+def _literal_explanations(inst: AbductionInstance) -> list[Explanation]:
+    """The product of the choices, which comes out in canonical order."""
+    choices = _literal_choices(inst)
+    if choices is None:
+        return []
+    return [Explanation(tuple(map(Literal, inst.hypotheses, polarities)))
+            for polarities in product(*choices)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +222,12 @@ def _kb_clauses(inst: AbductionInstance) -> list[frozenset[str]]:
     return out
 
 
-def _disjunctive_witness(inst: AbductionInstance
-                         ) -> Callable[[Sequence[Literal]], Explanation | None]:
-    """The map from a prefix to a witness explanation extending it, or
-    None; the clause analysis is done once, here.
+def _disjunctive_witness(
+        inst: AbductionInstance
+) -> Callable[[Sequence[Literal]], frozenset[str] | None]:
+    """The map from a prefix to the hypotheses that a witness explanation
+    extending it sets false besides the prefix, or None when there is no
+    witness; the clause analysis is done once, here.
 
     Criterion: a knowledge-base clause D whose atoms outside the positive
     manifestation atoms S form a set X of hypotheses that can jointly be set
@@ -244,22 +250,16 @@ def _disjunctive_witness(inst: AbductionInstance
     hyps = set(inst.hypotheses)
     candidates = [d - positive for d in sorted(set(clauses), key=sorted)
                   if d - positive <= hyps]
+    if positive & negative:  # tautological clause: the prefix alone
+        candidates = [frozenset()]
 
-    def consistent(false_vars: frozenset[str]) -> bool:
-        return not any(c <= false_vars for c in clauses)
-
-    def witness(prefix: Sequence[Literal]) -> Explanation | None:
+    def witness(prefix: Sequence[Literal]) -> frozenset[str] | None:
         neg_prefix = frozenset(l.var for l in prefix if not l.positive)
-        if positive & negative:  # tautological clause
-            if consistent(neg_prefix):
-                return Explanation(tuple(prefix))
-            return None
         pos_prefix = frozenset(l.var for l in prefix if l.positive)
         for x in candidates:
-            if not x & pos_prefix and consistent(neg_prefix | x):
-                lits = {l.var: l for l in prefix}
-                lits.update({v: Literal(v, False) for v in x})
-                return Explanation(tuple(lits.values()))
+            if not x & pos_prefix and not any(c <= neg_prefix | x
+                                              for c in clauses):
+                return x
         return None
 
     return witness
@@ -271,9 +271,10 @@ def _disjunctive_decider(inst: AbductionInstance) -> Decide:
 
 
 def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
-    e = _disjunctive_witness(inst)(())
-    if e is None:
+    x = _disjunctive_witness(inst)(())
+    if x is None:
         return SolveOutcome(False, None, "V-witness")
+    e = Explanation(tuple(Literal(v, False) for v in x))
     assert is_explanation(inst, e)
     e = extend_to_full(inst, e)
     return SolveOutcome(True, e, "V-witness", certificate_checked=True)
@@ -321,11 +322,17 @@ def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
     return frozenset(eqvars), 1 ^ c0
 
 
-def _eliminate(rows: Iterable[tuple[int, int]]
-               ) -> dict[int, tuple[int, int]] | None:
-    """Forward elimination; pivots keyed by leading column (lowest set bit).
-    None when the system is inconsistent."""
-    pivots: dict[int, tuple[int, int]] = {}
+# Echelon rows: pivots keyed by leading column (lowest set bit); a row's
+# other columns lie above its pivot.
+Echelon = dict[int, tuple[int, int]]
+
+
+def _eliminate(rows: Iterable[tuple[int, int]],
+               pivots: Echelon | None = None) -> Echelon | None:
+    """Forward elimination of `rows`, continuing from `pivots` (kept as
+    they are, new pivots after them).  None when the system is
+    inconsistent."""
+    pivots = dict(pivots or {})
     for mask, rhs in rows:
         while mask:
             lead = (mask & -mask).bit_length() - 1
@@ -341,50 +348,16 @@ def _eliminate(rows: Iterable[tuple[int, int]]
     return pivots
 
 
-def _reduce_row(row: tuple[int, int],
-                pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    mask, rhs = row
-    while mask:
-        lead = (mask & -mask).bit_length() - 1
-        if lead not in pivots:
-            break
-        pmask, prhs = pivots[lead]
-        mask ^= pmask
-        rhs ^= prhs
-    return mask, rhs
-
-
-def _particular_solution(pivots: dict[int, tuple[int, int]]) -> int:
-    """A solution bit vector with all free variables set to 0."""
-    point = 0
+def _particular_solution(pivots: Echelon, free: int = 0) -> int:
+    """The solution bit vector whose free variables are set as in `free`
+    (all 0 by default)."""
+    point = free
     for lead in sorted(pivots, reverse=True):
         mask, rhs = pivots[lead]
         value = rhs ^ (bin(mask & point).count("1") & 1)
         if value:
             point |= 1 << lead
     return point
-
-
-@dataclass
-class _Projection:
-    feasible: bool
-    apivots: dict[int, tuple[int, int]]  # rows supported on hypothesis cols
-    dim: int  # dimension of the projected solution space
-
-
-def _project(rows: Iterable[tuple[int, int]], split: int,
-             num_hyp: int) -> _Projection:
-    """Projection of the solution space onto the hypothesis columns.
-
-    Columns below `split` are non-hypothesis variables; elimination pivots
-    on them first, so rows whose leading column is at or beyond `split` are
-    exactly the constraints on the projection.
-    """
-    pivots = _eliminate(rows)
-    if pivots is None:
-        return _Projection(False, {}, -1)
-    apivots = {lead: row for lead, row in pivots.items() if lead >= split}
-    return _Projection(True, apivots, num_hyp - len(apivots))
 
 
 def build_affine_system(inst: AbductionInstance) -> AffineSystem:
@@ -413,69 +386,57 @@ def build_affine_system(inst: AbductionInstance) -> AffineSystem:
     return AffineSystem(cols, rows, negation)
 
 
-@dataclass
-class _AffineAnalysis:
-    solvable: bool
-    witness_point: int | None  # bit vector over all columns (hyp part valid)
-    count: int  # full explanations (ignoring any prefix constraints' effect
-    # on fullness -- exact when prefix is empty)
+def _affine_cosets(inst: AbductionInstance, system: AffineSystem
+                   ) -> tuple[Echelon | None, Echelon | None]:
+    """(A, B): the full explanations are exactly the points of coset A
+    outside coset B, each given by echelon rows over the hypothesis
+    columns.  A is None when there are no explanations, B when nothing is
+    taken away; otherwise B is A with more rows, the first of them after
+    A's.
 
-
-def _affine_analyze(inst: AbductionInstance, system: AffineSystem,
-                    prefix: Sequence[Literal] = ()) -> _AffineAnalysis:
-    """Analysis of the knowledge-base `system` with a unit equation for
-    each prefix literal."""
-    index = {v: j for j, v in enumerate(system.cols)}
-    rows = list(system.rows) + [(1 << index[l.var], 1 if l.positive else 0)
-                                for l in prefix]
+    The knowledge base is eliminated once, non-hypothesis columns first, so
+    pivots at or beyond `split` are exactly the constraints on the
+    projection onto the hypotheses (the base projection A).  A negation
+    group continues that elimination; its new pivots there constrain the
+    projection of the system extended by it.
+    """
     split = len(system.cols) - len(inst.hypotheses)
-    num_hyp = len(inst.hypotheses)
-    base = _project(rows, split, num_hyp)
-    if not base.feasible:
-        return _AffineAnalysis(False, None, 0)
+    full = _eliminate(system.rows)
+    if full is None:
+        return None, None
 
+    def new_rows(group: Iterable[tuple[int, int]]
+                 ) -> list[tuple[int, int]] | None:
+        ext = _eliminate(group, full)
+        if ext is None:
+            return None
+        return [row for lead, row in ext.items()
+                if lead >= split and lead not in full]
+
+    base = {lead: row for lead, row in full.items() if lead >= split}
     if inst.variant == "T":
         # each group adds one equation; within the base projection its
         # projection is everything, nothing, or a hyperplane whose flipped
-        # form the witness must satisfy
-        good_rows = list(base.apivots.values())
+        # form every explanation satisfies
+        flipped = []
         for group in system.negation:
-            ext = _project(rows + list(group), split, num_hyp)
-            if not ext.feasible:
+            extra = new_rows(group)
+            if extra is None:
                 continue  # that literal is already entailed
-            if ext.dim == base.dim:
-                return _AffineAnalysis(False, None, 0)
-            assert ext.dim == base.dim - 1
-            extra = [_reduce_row(row, base.apivots)
-                     for row in ext.apivots.values()]
-            extra = [(m, r) for m, r in extra if m]
-            assert len(extra) == 1, "single equation must add one constraint"
+            if not extra:
+                return None, None  # no assignment in A entails the literal
+            assert len(extra) == 1, "each T projection is a hyperplane"
             mask, rhs = extra[0]
-            good_rows.append((mask, rhs ^ 1))
-        good = _eliminate(good_rows)
-        if good is None:
-            return _AffineAnalysis(False, None, 0)
-        dim = num_hyp - len(good)
-        return _AffineAnalysis(True, _particular_solution(good), 1 << dim)
+            flipped.append((mask, rhs ^ 1))
+        return _eliminate(flipped, base), None
 
     (group,) = system.negation
-    ext = _project(rows + list(group), split, num_hyp)
-    if not ext.feasible:
-        count = 1 << base.dim
-        return _AffineAnalysis(True, _particular_solution(base.apivots),
-                               count)
-    if ext.dim == base.dim:
-        return _AffineAnalysis(False, None, 0)
-    count = (1 << base.dim) - (1 << ext.dim)
-    # a witness violates one constraint of the extended projection that the
-    # base projection does not imply
-    extra = [_reduce_row(row, base.apivots) for row in ext.apivots.values()]
-    extra = [(m, r) for m, r in extra if m]
-    assert extra, "strictly smaller projection must add a constraint"
-    mask, rhs = extra[0]
-    flipped = _eliminate(list(base.apivots.values()) + [(mask, rhs ^ 1)])
-    assert flipped is not None
-    return _AffineAnalysis(True, _particular_solution(flipped), count)
+    extra = new_rows(group)
+    if extra is None:
+        return base, None
+    if not extra:
+        return None, None  # B is A
+    return base, _eliminate(extra, base)
 
 
 def _point_explanation(inst: AbductionInstance, system_cols: tuple[str, ...],
@@ -489,24 +450,51 @@ def _point_explanation(inst: AbductionInstance, system_cols: tuple[str, ...],
 
 def solve_affine(inst: AbductionInstance) -> SolveOutcome:
     system = build_affine_system(inst)
-    analysis = _affine_analyze(inst, system)
-    if not analysis.solvable:
+    a, b = _affine_cosets(inst, system)
+    if a is None:
         return SolveOutcome(False, None, "affine")
-    assert analysis.witness_point is not None
-    e = _point_explanation(inst, system.cols, analysis.witness_point)
+    if b is not None:
+        # a witness violates the first constraint that B adds to A; that
+        # row's pivot is free in A, so the rows stay echelon
+        new = [(lead, row) for lead, row in b.items() if lead not in a]
+        assert new, "strictly smaller projection must add a constraint"
+        lead, (mask, rhs) = new[0]
+        a = {**a, lead: (mask, rhs ^ 1)}
+    e = _point_explanation(inst, system.cols, _particular_solution(a))
     assert is_explanation(inst, e)
     return SolveOutcome(True, e, "affine", certificate_checked=True)
 
 
 def count_affine(inst: AbductionInstance) -> int:
-    """Exact number of full explanations for an affine knowledge base, as a
-    difference (or, for terms, a single power) of projected subspace sizes."""
-    return _affine_analyze(inst, build_affine_system(inst)).count
+    """Exact number of full explanations for an affine knowledge base: the
+    size of coset A less the size of coset B."""
+    a, b = _affine_cosets(inst, build_affine_system(inst))
+    if a is None:
+        return 0
+    h = len(inst.hypotheses)
+    return (1 << (h - len(a))) - (0 if b is None else 1 << (h - len(b)))
 
 
-def _affine_decider(inst: AbductionInstance) -> Decide:
+def _affine_explanations(inst: AbductionInstance) -> list[Explanation]:
+    """The points of coset A outside coset B, in canonical order.  B has a
+    smaller dimension than A, so at least half of A's points are listed."""
     system = build_affine_system(inst)
-    return lambda prefix: _affine_analyze(inst, system, prefix).solvable
+    a, b = _affine_cosets(inst, system)
+    if a is None:
+        return []
+    split = len(system.cols) - len(inst.hypotheses)
+    free = [1 << j for j in range(split, len(system.cols)) if j not in a]
+    points = []
+    for bits in product((0, 1), repeat=len(free)):
+        point = _particular_solution(a, sum(c for c, x in zip(free, bits)
+                                            if x))
+        if b is None or any(bin(mask & point).count("1") & 1 != rhs
+                            for mask, rhs in b.values()):
+            points.append(point)
+    # canonical order reads the first hypothesis (column `split`) first
+    width = len(inst.hypotheses)
+    points.sort(key=lambda p: format(p >> split, f"0{width}b")[::-1])
+    return [_point_explanation(inst, system.cols, p) for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +607,7 @@ ROUTES: dict[str, Route] = {
         applies=lambda c, v: clone_leq(c, _E) or clone_leq(c, _N),
         solve=lambda i, b: solve_literal_kb(i),
         count=lambda i, b: _count_literal_kb(i), count_label="literal-KB",
-        explanations=lambda i, b: _walk(i.hypotheses, _literal_decider(i))),
+        explanations=lambda i, b: _literal_explanations(i)),
     "disjunctive": Route(
         applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
         solve=lambda i, b: solve_disjunctive_kb(i),
@@ -631,7 +619,7 @@ ROUTES: dict[str, Route] = {
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
         count=lambda i, b: count_affine(i), count_label="affine",
-        explanations=lambda i, b: _walk(i.hypotheses, _affine_decider(i))),
+        explanations=lambda i, b: _affine_explanations(i)),
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),

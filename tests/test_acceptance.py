@@ -144,6 +144,8 @@ def test_criterion_4_affine_exactness():
         if out.found:
             assert is_explanation(inst, out.explanation)
         assert count_affine(inst) == oracle_count_full(inst), (seed, variant)
+        assert enumerate_full(inst, "affine") == oracle_enumerate(inst), \
+            (seed, variant)
     deadline.check("affine exactness")
 
 

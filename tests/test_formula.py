@@ -1,5 +1,7 @@
 """Formula parsing, evaluation, template substitution and CNF encoding."""
 
+import itertools
+
 import pytest
 
 from cloneabd.errors import InputError
@@ -8,7 +10,7 @@ from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               formula_size, free_vars, parse_formula,
                               parse_literal, render_formula,
                               replace_connectives, substitute_map, table_of)
-from cloneabd.sat import enumerate_models, sat_solve
+from cloneabd.sat import sat_solve
 from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet)
 
 FNS = FunctionSet([AND, OR, NOT, XOR3, MAJ3])
@@ -110,11 +112,12 @@ def test_replace_connectives():
 def test_encode_cnf_models_match_truth_table():
     phi = parse_formula("(maj3 x y (not z))", FNS)
     enc = encode_cnf([phi], variables=["x", "y", "z"])
-    proj = [enc.var_of[v] for v in ("x", "y", "z")]
-    models = enumerate_models(enc.clauses, enc.num_vars, proj)
-    truth = {(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)
-             if eval_formula(phi, {"x": x, "y": y, "z": z})}
-    assert {tuple(int(b) for b in m) for m in models} == truth
+    for bits in itertools.product((0, 1), repeat=3):
+        point = dict(zip("xyz", bits))
+        assumptions = [enc.var_of[v] if b else -enc.var_of[v]
+                       for v, b in point.items()]
+        res = sat_solve(enc.clauses, enc.num_vars, assumptions=assumptions)
+        assert res.is_sat == bool(eval_formula(phi, point)), point
 
 
 def test_encode_cnf_with_assumptions():

@@ -1,5 +1,5 @@
-"""The watched-literal decision procedure, its incremental use under
-assumptions, and projected model enumeration."""
+"""The watched-literal decision procedure and its incremental use under
+assumptions."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cloneabd.errors import ResourceBudgetError
-from cloneabd.sat import SatStats, Solver, enumerate_models, sat_solve
+from cloneabd.sat import SatStats, Solver, sat_solve
 
 
 def brute_least_model(clauses, n):
@@ -125,23 +125,3 @@ def test_prepared_solver_answers_after_conflict_cap():
         got = sat_solve(solver, assumptions=assumptions)
         units = clauses + [[l] for l in assumptions]
         assert got.model == brute_least_model(units, 5), assumptions
-
-
-def test_enumerate_models_full():
-    models = enumerate_models([[1, 2]], 2)
-    assert models == sorted(models)
-    assert len(models) == 3
-    assert (False, False) not in models
-
-
-def test_enumerate_models_projected():
-    # y is free: projection onto x collapses model pairs
-    models = enumerate_models([[1]], 2, project=[1])
-    assert models == [(True,)]
-
-
-def test_enumerate_models_sorted_no_duplicates():
-    clauses = [[1, 2, 3]]
-    models = enumerate_models(clauses, 3)
-    assert len(models) == len(set(models)) == 7
-    assert models == sorted(models)

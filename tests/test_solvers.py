@@ -1,7 +1,10 @@
 """Structure-specific solvers against the brute-force oracle."""
 
+from collections import Counter
+
 import pytest
 
+from cloneabd import solvers
 from cloneabd.abduction import (AbductionInstance, Explanation,
                                 candidate_explanation, is_explanation,
                                 oracle_count_full, oracle_enumerate,
@@ -14,8 +17,8 @@ from cloneabd.solvers import (ROUTES, count_affine, count_full,
                               enumerate_full, route_of, solve, solve_affine,
                               solve_disjunctive_kb, solve_general,
                               solve_literal_kb, solve_monotone)
-from cloneabd.truthtable import (AND, ANDNOT, MAJ3, NOT, OR, XOR, XOR3,
-                                 FunctionSet)
+from cloneabd.truthtable import (AND, ANDNOT, CONST1, MAJ3, NOT, OR, XNOR,
+                                 XOR, XOR3, FunctionSet)
 
 from conftest import AND_OR, OR_AND, lit, make_instance
 
@@ -94,6 +97,33 @@ def test_affine_term_variant():
     assert count_affine(inst) == oracle_count_full(inst)
 
 
+
+@pytest.mark.parametrize("variant, manifestation, eliminations, fixed",
+                         [("Q", lit("q"), 3, 1),
+                          ("T", (lit("q"), lit("r")), 4, 2)])
+def test_affine_enumeration_eliminates_once_per_instance(
+        monkeypatch, variant, manifestation, eliminations, fixed):
+    """Listing builds the system once and eliminates the knowledge base, each
+    negation group and the result once, whatever the number of hypotheses
+    and outputs.  Here q = h0 + h1 + 1 and r = h0, so Q needs h0 = h1 and T
+    also h0 = 1; the other hypotheses are free."""
+    calls = Counter()
+    for name in ("build_affine_system", "_eliminate"):
+        def counted(*args, _name=name, _fn=getattr(solvers, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(solvers, name, counted)
+    for h in (2, 6, 10):
+        hyps = [f"h{j}" for j in range(h)]
+        kb = ["(xor3 h0 h1 q)", "(xor3 h1 r q)"] + [
+            f"(xor3 h{j} h{j + 1} s{j})" for j in range(1, h - 1)]
+        inst = make_instance([XOR3], kb, hyps, variant, manifestation)
+        calls.clear()
+        got = enumerate_full(inst, "affine")
+        assert calls == {"build_affine_system": 1, "_eliminate": eliminations}
+        assert len(got) == 1 << (h - fixed)
+        assert all(is_explanation(inst, e) for e in got[:4])
+
 def test_monotone_solver():
     inst = make_instance([MAJ3], ["(maj3 a b c)"], ["a", "b"],
                          "Q", lit("c"))
@@ -156,7 +186,8 @@ def test_count_matches_oracle(base_idx):
         assert count_full(inst) == oracle_count_full(inst)
 
 
-@pytest.mark.parametrize("base", [[OR], [AND], [XOR3], [MAJ3], [OR, AND]])
+@pytest.mark.parametrize("base", [[OR], [AND], [XOR3], [MAJ3], [OR, AND],
+                                  [XNOR], [XOR, CONST1]])
 def test_enumerate_matches_oracle(base):
     fns = FunctionSet(base)
     for variant in "QCTF":
