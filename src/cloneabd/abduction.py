@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
-from .formula import (App, Const, Formula, Literal, Var, encode_cnf,
-                      free_vars, parse_formula, parse_literal, render_formula,
-                      substitute_map)
+from .formula import (VAR_RE, App, Const, Formula, Literal, Var,
+                      encode_cnf, free_vars, parse_formula, parse_literal,
+                      render_formula, substitute_map)
 from .sat import Solver, sat_solve
 from .truthtable import NOT, OR, FunctionSet, TruthTable
 
@@ -413,28 +413,6 @@ def eliminate_false(inst: AbductionInstance) -> AbductionInstance:
                    hypotheses=inst.hypotheses + (f,))
 
 
-def extend_to_full(inst: AbductionInstance, e: Explanation) -> Explanation:
-    """Extend an explanation to a full one: missing hypothesis variables in
-    sorted order, positive literal first, kept when Gamma plus the extended
-    set stays satisfiable."""
-    test = ExplanationTest(inst)
-    if not is_explanation(inst, e, test):
-        raise InputError("extend_to_full requires an explanation")
-    literals = list(e.literals)
-    assigned = set(e.atoms)
-    for v in inst.hypotheses:
-        if v in assigned:
-            continue
-        positive = Literal(v, True)
-        if test.kb_sat(literals + [positive]):
-            literals.append(positive)
-        else:
-            literals.append(Literal(v, False))
-    full = Explanation(tuple(literals))
-    assert is_explanation(inst, full, test)
-    return full
-
-
 # ---------------------------------------------------------------------------
 # Instance files: `fn` lines, then `kb` lines, `hyp` lines and exactly one
 # manifestation line (`query`, `clause`, `term` or `qformula`).
@@ -472,7 +450,10 @@ def parse_instance(text: str) -> AbductionInstance:
         elif key == "kb":
             kb.append(parse_formula(rest, fns))
         elif key == "hyp":
-            hyp.extend(rest.split())
+            for name in rest.split():
+                if not VAR_RE.fullmatch(name):
+                    bad(f"bad variable name {name!r}")
+                hyp.append(name)
         elif key in _VARIANT_OF_KEY:
             if variant is not None:
                 bad("multiple manifestation lines")

@@ -34,7 +34,13 @@ EXIT_BUDGET = 3
 
 def _default_budget() -> int:
     env = os.environ.get("ABD_BUDGET")
-    return int(env) if env else solvers.DEFAULT_CANDIDATE_BUDGET
+    if not env:
+        return solvers.DEFAULT_CANDIDATE_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(
+            f"ABD_BUDGET must be an integer, got {env!r}") from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -51,23 +57,21 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+# `identify --json` signature keys and the property names they report
+_SIGNATURE_KEYS = (("allReproduce0", "r0"), ("allReproduce1", "r1"),
+                   ("allMonotone", "m"), ("allSelfDual", "d"),
+                   ("allAffine", "l"))
+
+
 def cmd_identify(args: argparse.Namespace) -> int:
     fns = parse_function_set(_read(args.base))
     if not len(fns):
         raise InputError("base file declares no functions")
     clone = identify_clone(fns)
     sig = signature_of(fns)
-    signature = {
-        "allReproduce0": sig.all_reproduce0,
-        "allReproduce1": sig.all_reproduce1,
-        "allMonotone": sig.all_monotone,
-        "allSelfDual": sig.all_self_dual,
-        "allAffine": sig.all_affine,
-        "sep0degree": ("inf" if sig.sep0_degree == float("inf")
-                       else int(sig.sep0_degree)),
-        "sep1degree": ("inf" if sig.sep1_degree == float("inf")
-                       else int(sig.sep1_degree)),
-    }
+    signature = {key: name in sig.bools for key, name in _SIGNATURE_KEYS}
+    for key, degree in (("sep0degree", sig.s0), ("sep1degree", sig.s1)):
+        signature[key] = "inf" if degree == float("inf") else int(degree)
     _emit(args, {"clone": clone.name, "signature": signature},
           f"clone: {clone.name}")
     return EXIT_OK
@@ -347,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads ABD_BUDGET, which may be malformed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

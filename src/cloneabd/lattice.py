@@ -17,10 +17,10 @@ from .errors import (InputError, NoRepresentationError, ResourceBudgetError,
 from .formula import (App, Formula, Var, formula_size, render_formula,
                       table_of)
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
-                         IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR, XNOR,
-                         XOR, XOR3, FunctionSet, TruthTable, compose,
-                         dual_fn, function_properties, projection_mask,
-                         separating_degree)
+                         IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
+                         PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
+                         TruthTable, compose, dual_fn, function_properties,
+                         projection_mask, separating_degree)
 
 Degree = float  # int >= 1, or INFINITE
 
@@ -71,58 +71,30 @@ def parse_clone_name(text: str) -> CloneId:
     return CloneId(m.group(1), degree)
 
 
-@dataclass(frozen=True)
-class CloneSignature:
-    """Aggregated properties of a function set (conjunction / minimum of the
-    per-function predicates)."""
-
-    all_reproduce0: bool
-    all_reproduce1: bool
-    all_monotone: bool
-    all_self_dual: bool
-    all_affine: bool
-    all_disjunction: bool
-    all_conjunction: bool
-    all_unary: bool
-    all_projection_or_constant: bool
-    sep0_degree: Degree
-    sep1_degree: Degree
-
-
-def signature_of(fns: FunctionSet) -> CloneSignature:
-    props = [function_properties(f) for f in fns]
-    return CloneSignature(
-        all_reproduce0=all(p.reproduces0 for p in props),
-        all_reproduce1=all(p.reproduces1 for p in props),
-        all_monotone=all(p.monotone for p in props),
-        all_self_dual=all(p.self_dual for p in props),
-        all_affine=all(p.affine for p in props),
-        all_disjunction=all(p.is_disjunction for p in props),
-        all_conjunction=all(p.is_conjunction for p in props),
-        all_unary=all(p.is_unary for p in props),
-        all_projection_or_constant=all(p.is_projection_or_constant
-                                       for p in props),
-        sep0_degree=min((separating_degree(f, 0) for f in fns),
-                        default=INFINITE),
-        sep1_degree=min((separating_degree(f, 1) for f in fns),
-                        default=INFINITE),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Defining constraints per clone (the intersection definitions of the
-# classical clone table; the N2 row uses N ∩ D, matching the base {¬x}).
+# Records: the defining constraints of a clone (the intersection definitions
+# of the classical clone table; the N2 row uses N ∩ D, matching the base
+# {¬x}), and the same record computed for a function set.
 
 @dataclass(frozen=True)
-class _Constraints:
-    """A clone's defining record: the names of its boolean constraints
-    (r0, r1 reproduce 0/1, m monotone, d self-dual, l affine, v disjunction,
-    e conjunction, n essentially unary, i projection or constant) and the
-    least separation degrees (1 = no constraint)."""
+class CloneRecord:
+    """A class of Boolean functions by its constraints: every member
+    belongs to the classes named in `bools` (the names of
+    `truthtable.function_properties`) and has separation degree at least
+    `s0` on 0 and `s1` on 1 (1 = no constraint).  `constraints_of` gives a
+    clone's defining record, `signature_of` the strongest record that every
+    function of a set satisfies."""
 
     bools: frozenset[str]
-    s0: Degree = 1  # membership requires sep0 >= s0
+    s0: Degree = 1
     s1: Degree = 1
+
+
+def signature_of(fns: FunctionSet) -> CloneRecord:
+    return CloneRecord(
+        PROPERTY_NAMES.intersection(*(function_properties(f) for f in fns)),
+        min((separating_degree(f, 0) for f in fns), default=INFINITE),
+        min((separating_degree(f, 1) for f in fns), default=INFINITE))
 
 
 # family -> (bool constraint names, separation side "s0"/"s1" or None);
@@ -170,33 +142,28 @@ _FAMILY_DEFS: dict[str, tuple[tuple[str, ...], str | None]] = {
 }
 
 
-def constraints_of(clone: CloneId) -> _Constraints:
+def constraints_of(clone: CloneId) -> CloneRecord:
     bools, sep = _FAMILY_DEFS[clone.family]
-    kwargs: dict = {}
-    if sep is not None:
-        degree: Degree = clone.degree if clone.degree is not None else INFINITE
-        kwargs[sep] = degree
-    return _Constraints(frozenset(bools), **kwargs)
+    degree: Degree = clone.degree if clone.degree is not None else INFINITE
+    return CloneRecord(frozenset(bools), degree if sep == "s0" else 1,
+                       degree if sep == "s1" else 1)
 
 
-def _sig_satisfies(sig: CloneSignature, cons: _Constraints) -> bool:
-    """Does every function of a set with this signature lie in the clone?"""
-    checks = {
-        "r0": sig.all_reproduce0, "r1": sig.all_reproduce1,
-        "m": sig.all_monotone, "d": sig.all_self_dual, "l": sig.all_affine,
-        "v": sig.all_disjunction, "e": sig.all_conjunction,
-        "n": sig.all_unary, "i": sig.all_projection_or_constant,
-    }
-    return (all(checks[name] for name in cons.bools)
-            and sig.sep0_degree >= cons.s0 and sig.sep1_degree >= cons.s1)
-
-
-def function_in_clone(f: TruthTable, clone: CloneId) -> bool:
-    return _sig_satisfies(signature_of(FunctionSet([f])), constraints_of(clone))
+def _implies(strong: CloneRecord, weak: CloneRecord) -> bool:
+    """Whether `weak` names no more classes and no higher degrees than
+    `strong`, so that everything `strong` describes satisfies `weak`.  The
+    one comparison behind membership, inclusion and identification; it
+    decides inclusion exactly once `strong` is closed."""
+    return (weak.bools <= strong.bools
+            and strong.s0 >= weak.s0 and strong.s1 >= weak.s1)
 
 
 def set_in_clone(fns: FunctionSet, clone: CloneId) -> bool:
-    return _sig_satisfies(signature_of(fns), constraints_of(clone))
+    return _implies(signature_of(fns), constraints_of(clone))
+
+
+def function_in_clone(f: TruthTable, clone: CloneId) -> bool:
+    return set_in_clone(FunctionSet([f]), clone)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +176,7 @@ _FORCE_I = tuple(map(frozenset, (("l", "m"), ("v", "e"), ("n", "m"),
                                  ("l", "e"))))
 
 
-def _close_constraints(cons: _Constraints) -> _Constraints:
+def _close_constraints(cons: CloneRecord) -> CloneRecord:
     c = set(cons.bools)
     s0, s1 = cons.s0, cons.s1
     while True:
@@ -239,7 +206,7 @@ def _close_constraints(cons: _Constraints) -> _Constraints:
         if {"e", "r0"} <= c:
             s1 = INFINITE
         if (len(c), s0, s1) == before:
-            return _Constraints(frozenset(c), s0, s1)
+            return CloneRecord(frozenset(c), s0, s1)
 
 
 def clone_leq(c1: CloneId, c2: CloneId) -> bool:
@@ -254,10 +221,7 @@ def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     c2)` on every pair of degrees 2-4; acceptance criterion 2 checks it
     against the closure oracle.
     """
-    strong = _close_constraints(constraints_of(c1))
-    weak = constraints_of(c2)
-    return (weak.bools <= strong.bools
-            and strong.s0 >= weak.s0 and strong.s1 >= weak.s1)
+    return _implies(_close_constraints(constraints_of(c1)), constraints_of(c2))
 
 
 def identify_clone(fns: FunctionSet) -> CloneId:
@@ -266,21 +230,22 @@ def identify_clone(fns: FunctionSet) -> CloneId:
     candidates = []
     for family in NONPARAMETRIC_FAMILIES:
         clone = CloneId(family)
-        if _sig_satisfies(sig, constraints_of(clone)):
+        if _implies(sig, constraints_of(clone)):
             candidates.append(clone)
     for family in PARAMETRIC_FAMILIES:
         # the degree relevant to the family's separation side
-        sep = sig.sep0_degree if family.startswith("S0") else sig.sep1_degree
+        sep = sig.s0 if family.startswith("S0") else sig.s1
         if 2 <= sep < INFINITE:
             clone = CloneId(family, int(sep))
-            if _sig_satisfies(sig, constraints_of(clone)):
+            if _implies(sig, constraints_of(clone)):
                 candidates.append(clone)
     best = candidates[0]
     for clone in candidates[1:]:
         if clone_leq(clone, best):
             best = clone
     # the lattice guarantees a unique minimum; check it
-    assert all(clone_leq(best, c) for c in candidates), \
+    closed = _close_constraints(constraints_of(best))
+    assert all(_implies(closed, constraints_of(c)) for c in candidates), \
         f"no unique minimal clone among {[c.name for c in candidates]}"
     return best
 

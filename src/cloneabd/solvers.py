@@ -29,19 +29,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         SolveOutcome, entails_manifestation,
-                        explanation_hits, extend_to_full, first_hit,
+                        explanation_hits, first_hit,
                         is_explanation, oracle_count_full, oracle_enumerate,
                         oracle_solve, scan_candidates)
 from .errors import CloneMismatchError
 from .formula import (App, Const, Formula, Literal, Var, eval_formula,
                       free_vars)
-from .truthtable import TruthTable, function_properties
+from .truthtable import TruthTable, essential_positions, function_properties
 from .lattice import CloneId, clone_leq, identify_clone
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 20
-
-# "some full explanation extends this prefix of hypothesis literals"
-Decide = Callable[[Sequence[Literal]], bool]
 
 _E = CloneId("E")
 _N = CloneId("N")
@@ -66,16 +63,14 @@ def _literal_normal_form(phi: Formula) -> dict[str, bool] | str:
         return {} if phi.value else _FALSE
 
     props = function_properties(phi.fn)
-    n = phi.fn.arity
-    if props.is_projection_or_constant or props.is_conjunction:
-        # conjunction of the essential arguments (constants have none)
-        if all(b == phi.fn.bits[0] for b in phi.fn.bits):
+    essential = essential_positions(phi.fn)
+    if "e" in props:
+        # conjunction of the essential arguments (constants have none, a
+        # projection has one)
+        if not essential:
             return {} if phi.fn.bits[0] else _FALSE
         merged: dict[str, bool] = {}
-        for j in range(n):
-            unit = 1 << (n - 1 - j)
-            if phi.fn.bits[(1 << n) - 1 - unit] == 1:
-                continue  # argument j is not essential to the conjunction
+        for j in essential:
             sub = _literal_normal_form(phi.args[j])
             if sub == _FALSE:
                 return _FALSE
@@ -84,14 +79,10 @@ def _literal_normal_form(phi: Formula) -> dict[str, bool] | str:
                 if merged.setdefault(v, b) != b:
                     return _FALSE
         return merged
-    if props.is_unary:
-        j = next(k for k in range(n)
-                 if any(phi.fn.bits[i] != phi.fn.bits[i ^ (1 << (n - 1 - k))]
-                        for i in range(1 << n)))
-        negating = phi.fn.bits[1 << (n - 1 - j)] == 0
+    if "n" in props:
+        # not a conjunction, so the negation of its one essential argument
+        (j,) = essential
         sub = _literal_normal_form(phi.args[j])
-        if not negating:
-            return sub
         if sub == _FALSE:
             return {}
         assert isinstance(sub, dict)
@@ -190,17 +181,14 @@ def _disjunction_normal_form(phi: Formula) -> frozenset[str] | str:
         return frozenset([phi.name])
     if isinstance(phi, Const):
         return _TRUE_CLAUSE if phi.value else frozenset()
-    props = function_properties(phi.fn)
-    if not props.is_disjunction:
+    if "v" not in function_properties(phi.fn):
         raise CloneMismatchError(
             f"connective {phi.fn.name!r} is not a disjunction of arguments")
-    n = phi.fn.arity
-    if all(b == phi.fn.bits[0] for b in phi.fn.bits):
+    essential = essential_positions(phi.fn)
+    if not essential:
         return _TRUE_CLAUSE if phi.fn.bits[0] else frozenset()
     out: frozenset[str] = frozenset()
-    for j in range(n):
-        if phi.fn.bits[1 << (n - 1 - j)] == 0:
-            continue  # argument j does not feed the disjunction
+    for j in essential:
         sub = _disjunction_normal_form(phi.args[j])
         if sub == _TRUE_CLAUSE:
             return _TRUE_CLAUSE
@@ -265,19 +253,40 @@ def _disjunctive_witness(
     return witness
 
 
-def _disjunctive_decider(inst: AbductionInstance) -> Decide:
-    witness = _disjunctive_witness(inst)
-    return lambda prefix: witness(prefix) is not None
-
-
 def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
+    """The witness hypotheses false and the rest true: no clause lies
+    within the witness, so the positive clauses stay satisfied."""
     x = _disjunctive_witness(inst)(())
     if x is None:
         return SolveOutcome(False, None, "V-witness")
-    e = Explanation(tuple(Literal(v, False) for v in x))
+    e = Explanation(tuple(Literal(v, v not in x) for v in inst.hypotheses))
     assert is_explanation(inst, e)
-    e = extend_to_full(inst, e)
     return SolveOutcome(True, e, "V-witness", certificate_checked=True)
+
+
+def _walk(inst: AbductionInstance) -> list[Explanation]:
+    """The full explanations, by self-reduction: branch on each hypothesis
+    variable (negative first) and descend only into subtrees whose prefix
+    some witness extends."""
+    hyp = inst.hypotheses
+    witness = _disjunctive_witness(inst)
+    out: list[Explanation] = []
+    prefix: list[Literal] = []
+
+    def visit() -> None:
+        if witness(prefix) is None:
+            return
+        depth = len(prefix)
+        if depth == len(hyp):
+            out.append(Explanation(tuple(prefix)))
+            return
+        for positive in (False, True):
+            prefix.append(Literal(hyp[depth], positive))
+            visit()
+            prefix.pop()
+
+    visit()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +316,7 @@ def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
     XOR(variables) = bit.  Only formulas built from affine connectives are
     accepted; such a formula is affine, so its values at the zero and unit
     points fix it exactly."""
-    if not all(function_properties(fn).affine for fn in _connectives(phi)):
+    if not all("l" in function_properties(fn) for fn in _connectives(phi)):
         raise CloneMismatchError(
             "knowledge-base formula has a non-affine connective")
     variables = free_vars(phi)
@@ -611,10 +620,8 @@ ROUTES: dict[str, Route] = {
     "disjunctive": Route(
         applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
         solve=lambda i, b: solve_disjunctive_kb(i),
-        count=lambda i, b: len(_walk(i.hypotheses, _disjunctive_decider(i))),
-        count_label="V-witness",
-        explanations=lambda i, b: _walk(i.hypotheses,
-                                        _disjunctive_decider(i))),
+        count=lambda i, b: len(_walk(i)), count_label="V-witness",
+        explanations=lambda i, b: _walk(i)),
     "affine": Route(
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
@@ -681,29 +688,6 @@ def count_full(inst: AbductionInstance, route: str | Route | None = None,
     of its enumeration walk, the monotone route the hits of its scan, and
     the general route falls back to the brute-force oracle."""
     return _entry(inst, route).count(inst, budget)
-
-
-def _walk(hyp: Sequence[str], decide: Decide) -> list[Explanation]:
-    """The full prefixes accepted by `decide`, by self-reduction: branch on
-    each hypothesis variable (negative first) and descend only into
-    subtrees whose prefix `decide` accepts."""
-    out: list[Explanation] = []
-    prefix: list[Literal] = []
-
-    def visit() -> None:
-        if not decide(prefix):
-            return
-        depth = len(prefix)
-        if depth == len(hyp):
-            out.append(Explanation(tuple(prefix)))
-            return
-        for positive in (False, True):
-            prefix.append(Literal(hyp[depth], positive))
-            visit()
-            prefix.pop()
-
-    visit()
-    return out
 
 
 def enumerate_full(inst: AbductionInstance, route: str | Route | None = None,

@@ -114,21 +114,6 @@ class FunctionSet:
         return "FunctionSet({%s})" % ", ".join(f.name for f in self.functions)
 
 
-@dataclass(frozen=True)
-class PropertyRecord:
-    """The per-function predicates that define the named clones."""
-
-    reproduces0: bool
-    reproduces1: bool
-    monotone: bool
-    self_dual: bool
-    affine: bool
-    is_disjunction: bool
-    is_conjunction: bool
-    is_unary: bool
-    is_projection_or_constant: bool
-
-
 def eval_fn(f: TruthTable, args: Sequence[int]) -> int:
     """Table lookup under the row convention."""
     if len(args) != f.arity:
@@ -144,7 +129,7 @@ def dual_fn(f: TruthTable) -> TruthTable:
     return TruthTable(f"dual_{f.name}", f.arity, bits)
 
 
-def _essential_positions(f: TruthTable) -> list[int]:
+def essential_positions(f: TruthTable) -> list[int]:
     """Positions (0-based) the function actually depends on."""
     essential = []
     n = f.arity
@@ -189,43 +174,41 @@ def _is_affine(f: TruthTable) -> bool:
     return True
 
 
-def function_properties(f: TruthTable) -> PropertyRecord:
+PROPERTY_NAMES = frozenset(("r0", "r1", "m", "d", "l", "v", "e", "n", "i"))
+
+
+def function_properties(f: TruthTable) -> frozenset[str]:
+    """The names in `PROPERTY_NAMES` of the classes that f belongs to, the
+    classes whose intersections define the clones of Post's lattice:
+
+    r0, r1  reproduces 0 (f(0,...,0) = 0), resp. 1 (f(1,...,1) = 1)
+    m       monotone (a <= b pointwise implies f(a) <= f(b))
+    d       self-dual (f equals its dual)
+    l       affine (the XOR of a variable subset plus a constant)
+    v       a disjunction of a variable subset, or a constant
+    e       a conjunction of a variable subset, or a constant
+    n       essentially unary (depends on at most one argument)
+    i       a projection or a constant
+    """
     n = f.arity
     size = 1 << n
-
-    monotone = True
-    for i in range(size):
-        for j in range(n):
-            flip = 1 << (n - 1 - j)
-            if not i & flip and f.bits[i] > f.bits[i | flip]:
-                monotone = False
-                break
-        if not monotone:
-            break
-
     dual = dual_fn(f)
-    essential = _essential_positions(f)
-    is_unary = len(essential) <= 1
-    is_proj_or_const = False
-    if not essential:
-        is_proj_or_const = True  # constant
-    elif len(essential) == 1:
-        j = essential[0]
-        flip = 1 << (n - 1 - j)
-        is_proj_or_const = all(f.bits[i] == (1 if i & flip else 0)
-                               for i in range(size))
-
-    return PropertyRecord(
-        reproduces0=f.bits[0] == 0,
-        reproduces1=f.bits[size - 1] == 1,
-        monotone=monotone,
-        self_dual=f.bits == dual.bits,
-        affine=_is_affine(f),
-        is_disjunction=_is_disjunction(f),
-        is_conjunction=_is_disjunction(dual),
-        is_unary=is_unary,
-        is_projection_or_constant=is_proj_or_const,
-    )
+    essential = essential_positions(f)
+    holds = {
+        "r0": f.bits[0] == 0,
+        "r1": f.bits[size - 1] == 1,
+        "m": all(f.bits[i] <= f.bits[i | 1 << j]
+                 for i in range(size) for j in range(n)),
+        "d": f.bits == dual.bits,
+        "l": _is_affine(f),
+        "v": _is_disjunction(f),
+        "e": _is_disjunction(dual),
+        "n": len(essential) <= 1,
+        # a function of one essential argument is that argument or its
+        # negation, and only the argument maps 0,...,0 to 0
+        "i": not essential or (len(essential) == 1 and f.bits[0] == 0),
+    }
+    return frozenset(name for name, ok in holds.items() if ok)
 
 
 def separating_degree(f: TruthTable, c: int) -> float:

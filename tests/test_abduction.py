@@ -9,7 +9,7 @@ from cloneabd.abduction import (AbductionInstance, EMPTY_EXPLANATION,
                                 Explanation, ExplanationTest,
                                 candidate_explanation,
                                 eliminate_false, eliminate_true,
-                                entails_manifestation, extend_to_full,
+                                entails_manifestation,
                                 is_explanation, oracle_count_full,
                                 oracle_enumerate, oracle_solve,
                                 parse_instance, serialize_instance,
@@ -176,13 +176,6 @@ def test_oracle_count_and_enumerate_agree():
     for e in full:
         assert e.is_full(inst.hypotheses)
         assert is_explanation(inst, e)
-
-
-def test_extend_to_full():
-    inst = simple_instance()
-    e = extend_to_full(inst, Explanation((lit("!a"),)))
-    assert e.is_full(inst.hypotheses)
-    assert is_explanation(inst, e)
 
 
 def test_eliminate_true_noop_without_constant():

@@ -319,3 +319,31 @@ def test_budget_reaches_every_command(tmp_path, capsys, route, command):
     assert captured.err.count("\n") == 1
     assert main([command, str(p), *method]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["identify", "classify", "solve",
+                                     "count", "enumerate"])
+def test_malformed_budget_variable_exits_2(or_file, inst_file, capsys,
+                                           monkeypatch, command):
+    monkeypatch.setenv("ABD_BUDGET", "abc")
+    path = or_file if command in ("identify", "classify") else inst_file
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ABD_BUDGET must be an integer, got 'abc'\n"
+    monkeypatch.setenv("ABD_BUDGET", "64")
+    assert main([command, path]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "enumerate"])
+def test_bad_hypothesis_name_exits_2(tmp_path, capsys, command):
+    # `!a` once became a hypothesis literally named "!a", and `solve`
+    # answered "no explanation"
+    p = tmp_path / "inst.txt"
+    p.write_text("fn or 2 0111\nkb (or a b)\nhyp !a\nquery b\n")
+    code = main([command, str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: instance line 3: bad variable name '!a'\n"

@@ -58,3 +58,25 @@ def test_cli_output_is_pinned(case, tmp_path, capsys):
         got = main([name, str(path), *flags])
         out = capsys.readouterr().out
         assert (got, out) == _expected(case, command, code, stdout), command
+
+
+# `cli_identify_golden.json` holds the exact stdout and exit code of
+# `identify`, `identify --json` and `classify --counting --json` for the base
+# of every clone in `all_clone_ids((2, 3, 4))`, for 200 sets of one to three
+# members of the arity-1..3 closure of a random clone's base, and for 200
+# sets of one to three uniformly random tables of arity 0..3 (Python's
+# `random.Random(10)`).  It was captured before function properties, set
+# signatures and clone definitions became one record, and is matched with
+# no adjustment.
+IDENTIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "cli_identify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", IDENTIFY_GOLDEN, ids=lambda c: c["base"])
+def test_identify_output_is_pinned(case, tmp_path, capsys):
+    path = tmp_path / "base.fns"
+    path.write_text(case["text"])
+    for command, (code, stdout) in case["runs"].items():
+        name, *flags = command.split()
+        got = main([name, str(path), *flags])
+        assert (got, capsys.readouterr().out) == (code, stdout), command

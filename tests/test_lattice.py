@@ -47,15 +47,13 @@ def test_identify_more_bases():
 
 def test_signature_or():
     sig = signature_of(FunctionSet([OR]))
-    assert sig.all_monotone and sig.all_reproduce0 and sig.all_reproduce1
-    assert sig.all_disjunction and not sig.all_affine
-    assert sig.sep0_degree == float("inf") and sig.sep1_degree == 1
+    assert sig.bools == {"r0", "r1", "m", "v"}
+    assert sig.s0 == float("inf") and sig.s1 == 1
 
 
 def test_signature_xor3():
     sig = signature_of(FunctionSet([XOR3]))
-    assert sig.all_affine and sig.all_self_dual
-    assert sig.all_reproduce0 and sig.all_reproduce1
+    assert sig.bools == {"r0", "r1", "d", "l"}
 
 
 def test_roundtrip_all_bases():

@@ -1,6 +1,7 @@
 """Tables, function properties and the clone-closure oracle."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -60,14 +61,55 @@ def test_dual_fn():
 
 
 def test_function_properties():
-    p = function_properties(OR)
-    assert p.reproduces0 and p.reproduces1 and p.monotone
-    assert not p.self_dual and not p.affine
-    q = function_properties(XOR3)
-    assert q.affine and q.self_dual and q.reproduces0 and q.reproduces1
-    r = function_properties(NOT)
-    assert not r.reproduces0 and not r.reproduces1 and not r.monotone
-    assert r.self_dual and r.affine
+    assert function_properties(OR) == {"r0", "r1", "m", "v"}
+    assert function_properties(XOR3) == {"r0", "r1", "d", "l"}
+    assert function_properties(NOT) == {"d", "l", "n"}
+
+
+def _rows(n):
+    # all argument tuples in table order (x1 most significant)
+    return list(product((0, 1), repeat=n))
+
+
+def _properties_by_definition(f):
+    """The nine names of `function_properties`, each decided from its
+    definition by brute force over the table."""
+    n = f.arity
+    rows = _rows(n)
+    value = dict(zip(rows, f.bits))
+    subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
+    constant = len(set(f.bits)) == 1
+
+    def equals(g):
+        return all(value[a] == g(a) for a in rows)
+
+    holds = {
+        "r0": value[(0,) * n] == 0,
+        "r1": value[(1,) * n] == 1,
+        "m": all(value[a] <= value[b] for a in rows for b in rows
+                 if all(x <= y for x, y in zip(a, b))),
+        "d": all(value[a] == 1 - value[tuple(1 - x for x in a)]
+                 for a in rows),
+        "l": any(equals(lambda a: (c + sum(a[j] for j in s)) % 2)
+                 for s in subsets for c in (0, 1)),
+        "v": constant or any(equals(lambda a: int(any(a[j] for j in s)))
+                             for s in subsets),
+        "e": constant or any(equals(lambda a: int(all(a[j] for j in s)))
+                             for s in subsets),
+        "n": constant or any(all(value[a] == value[b] for a in rows
+                                 for b in rows if a[j] == b[j])
+                             for j in range(n)),
+        "i": constant or any(equals(lambda a: a[j]) for j in range(n)),
+    }
+    return {name for name, ok in holds.items() if ok}
+
+
+def test_function_properties_match_definitions():
+    tables = [TruthTable("f", n, bits) for n in range(4)
+              for bits in product((0, 1), repeat=1 << n)]
+    assert len(tables) == 278
+    for f in tables:
+        assert function_properties(f) == _properties_by_definition(f), f
 
 
 def test_separating_degree_basics():
