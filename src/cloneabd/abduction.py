@@ -1,6 +1,6 @@
-"""Abduction instances, explanation checking, the candidate scan and the
-brute-force oracle on it, the constant-elimination transforms and the
-instance file format.
+"""Abduction instances, explanation checking, the candidate scan
+(`explanation_hits`, which the general route and the brute-force oracle
+share), the constant-elimination transforms and the instance file format.
 
 An instance is (Gamma, A, psi): a knowledge base of formulas over a declared
 connective set, a set of hypothesis variables, and a manifestation which is a
@@ -10,7 +10,7 @@ literal (variant Q), a clause (C), a term (T) or a formula (F).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
 from .formula import (VAR_RE, App, Const, Formula, Literal, Var,
@@ -44,12 +44,17 @@ class AbductionInstance:
         return free_vars(self.kb)
 
     @property
-    def manifestation_vars(self) -> list[str]:
+    def manifestation_literals(self) -> tuple[Literal, ...]:
+        """The manifestation's literals (variants Q, C and T)."""
         if self.variant == "Q":
-            return [self.manifestation.var]
-        if self.variant in ("C", "T"):
-            return sorted({l.var for l in self.manifestation})
-        return free_vars(self.manifestation)
+            return (self.manifestation,)
+        return tuple(self.manifestation)
+
+    @property
+    def manifestation_vars(self) -> list[str]:
+        if self.variant == "F":
+            return free_vars(self.manifestation)
+        return sorted({l.var for l in self.manifestation_literals})
 
     @property
     def variables(self) -> list[str]:
@@ -64,11 +69,9 @@ class AbductionInstance:
                       | set(self.manifestation_vars))
 
     def manifestation_text(self) -> str:
-        if self.variant == "Q":
-            return str(self.manifestation)
-        if self.variant in ("C", "T"):
-            return " ".join(str(l) for l in self.manifestation)
-        return render_formula(self.manifestation)
+        if self.variant == "F":
+            return render_formula(self.manifestation)
+        return " ".join(str(l) for l in self.manifestation_literals)
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,8 @@ class ExplanationTest:
             enc = encode_cnf(list(inst.kb) + [negation], (), inst.variables)
             self._kb_and_negation = Solver(enc.clauses, enc.num_vars)
         else:
-            mlits = ([inst.manifestation] if inst.variant == "Q"
-                     else inst.manifestation)
-            self._negation = [-l for l in self._assumptions(mlits)]
+            self._negation = [
+                -l for l in self._assumptions(inst.manifestation_literals)]
 
     def _assumptions(self, literals: Iterable[Literal]) -> list[int]:
         out = []
@@ -253,7 +255,8 @@ def candidate_explanation(hypotheses: Sequence[str], index: int) -> Explanation:
         for j, v in enumerate(hypotheses)))
 
 
-def _oracle_scale_check(inst: AbductionInstance) -> None:
+def _oracle_hits(inst: AbductionInstance
+                 ) -> Iterator[tuple[int, Explanation]]:
     if len(inst.hypotheses) > ORACLE_MAX_HYP:
         raise ResourceBudgetError(
             f"oracle limited to {ORACLE_MAX_HYP} hypotheses, "
@@ -262,23 +265,7 @@ def _oracle_scale_check(inst: AbductionInstance) -> None:
         raise ResourceBudgetError(
             f"oracle limited to {ORACLE_MAX_VARS} variables, "
             f"got {len(inst.variables)}")
-
-
-def scan_candidates(inst: AbductionInstance,
-                    accepts: Callable[[Explanation], bool],
-                    budget: int | None = None, scan: str = ""
-                    ) -> Iterator[tuple[int, Explanation]]:
-    """(index, candidate) for every full candidate that `accepts` takes, in
-    canonical order.  Reaching candidate `budget` raises
-    ResourceBudgetError, naming the `scan`."""
-    hyp = inst.hypotheses
-    for index in range(1 << len(hyp)):
-        if budget is not None and index >= budget:
-            raise ResourceBudgetError(
-                f"{scan} scan budget {budget} candidates exceeded")
-        e = candidate_explanation(hyp, index)
-        if accepts(e):
-            yield index, e
+    return explanation_hits(inst, None, "oracle")
 
 
 def first_hit(inst: AbductionInstance,
@@ -295,17 +282,19 @@ def first_hit(inst: AbductionInstance,
 
 def explanation_hits(inst: AbductionInstance, budget: int | None,
                      scan: str) -> Iterator[tuple[int, Explanation]]:
-    """The full explanations as `scan_candidates` hits, every candidate
-    decided by `is_explanation` on one `ExplanationTest`."""
+    """(index, candidate) for every full explanation, in canonical order:
+    the candidate scan, every candidate decided by `is_explanation` on one
+    `ExplanationTest`.  Reaching candidate `budget` raises
+    ResourceBudgetError, naming the `scan`."""
     test = ExplanationTest(inst)
-    return scan_candidates(inst, lambda e: is_explanation(inst, e, test),
-                           budget, scan)
-
-
-def _oracle_hits(inst: AbductionInstance, budget: int | None = None
-                 ) -> Iterator[tuple[int, Explanation]]:
-    _oracle_scale_check(inst)
-    return explanation_hits(inst, budget, "oracle")
+    hyp = inst.hypotheses
+    for index in range(1 << len(hyp)):
+        if budget is not None and index >= budget:
+            raise ResourceBudgetError(
+                f"{scan} scan budget {budget} candidates exceeded")
+        e = candidate_explanation(hyp, index)
+        if is_explanation(inst, e, test):
+            yield index, e
 
 
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
@@ -317,15 +306,13 @@ def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
     return first_hit(inst, _oracle_hits(inst), "oracle")
 
 
-def oracle_count_full(inst: AbductionInstance,
-                      budget: int | None = None) -> int:
-    return sum(1 for _ in _oracle_hits(inst, budget))
+def oracle_count_full(inst: AbductionInstance) -> int:
+    return sum(1 for _ in _oracle_hits(inst))
 
 
-def oracle_enumerate(inst: AbductionInstance,
-                     budget: int | None = None) -> list[Explanation]:
+def oracle_enumerate(inst: AbductionInstance) -> list[Explanation]:
     """All full explanations, in canonical candidate order."""
-    return [e for _, e in _oracle_hits(inst, budget)]
+    return [e for _, e in _oracle_hits(inst)]
 
 
 # ---------------------------------------------------------------------------

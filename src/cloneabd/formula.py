@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
-from .truthtable import FunctionSet, TruthTable, eval_fn, row_assignment
+from .truthtable import (FunctionSet, TruthTable, compose, eval_fn,
+                         mask_to_table, projection_mask, row_assignment)
 
 VAR_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
@@ -195,16 +196,26 @@ def formula_depth(phi: Formula) -> int:
     return 0
 
 
+def formula_mask(phi: Formula, masks: Mapping[str, int], m: int) -> int:
+    """The arity-m table (an int mask, row i in bit i) of a formula whose
+    variables are given as arity-m tables: every row evaluated at once,
+    one `compose` per connective."""
+    if isinstance(phi, Var):
+        if phi.name not in masks:
+            raise InputError(f"unassigned variable {phi.name!r}")
+        return masks[phi.name]
+    if isinstance(phi, Const):
+        return (1 << (1 << m)) - 1 if phi.value else 0
+    return compose(phi.fn, [formula_mask(a, masks, m) for a in phi.args], m)
+
+
 def table_of(phi: Formula, variables: Sequence[str] | None = None) -> TruthTable:
     """Truth table of a formula over the given (sorted) variable list."""
     if variables is None:
         variables = free_vars(phi)
     n = len(variables)
-    bits = []
-    for i in range(1 << n):
-        sigma = dict(zip(variables, row_assignment(i, n)))
-        bits.append(eval_formula(phi, sigma))
-    return TruthTable("anon", n, tuple(bits))
+    masks = {v: projection_mask(j, n) for j, v in enumerate(variables)}
+    return mask_to_table(formula_mask(phi, masks, n), n, "anon")
 
 
 # ---------------------------------------------------------------------------

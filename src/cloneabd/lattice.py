@@ -20,7 +20,7 @@ from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
                          PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
                          TruthTable, compose, dual_fn, function_properties,
-                         projection_mask, separating_degree)
+                         projection_mask, separating_degree, table_to_mask)
 
 Degree = float  # int >= 1, or INFINITE
 
@@ -449,10 +449,7 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
     if m > CLOSURE_MAX_ARITY:
         raise UnsupportedError(
             f"synthesis capped at arity {CLOSURE_MAX_ARITY}, target has {m}")
-    target_mask = 0
-    for row, b in enumerate(target.bits):
-        if b:
-            target_mask |= 1 << row
+    target_mask = table_to_mask(target)
 
     settled: dict[int, Formula] = {}
     heap: list[tuple[int, str, int, Formula]] = []

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
-from .errors import ResourceBudgetError
-
 
 @dataclass
 class SatStats:
@@ -154,8 +152,7 @@ class Solver:
         finally:
             stats.propagations += propagations
 
-    def _search(self, assumptions: Sequence[int], stats: SatStats,
-                conflict_cap: int | None) -> bool:
+    def _search(self, assumptions: Sequence[int], stats: SatStats) -> bool:
         value, trail = self._value, self._trail
         mark = len(trail)
         for lit in assumptions:
@@ -186,10 +183,6 @@ class Solver:
                     mark, lit = decisions.pop()
                     self._undo(mark)
                     stats.conflicts += 1
-                    if conflict_cap is not None and \
-                            stats.conflicts > conflict_cap:
-                        raise ResourceBudgetError(
-                            f"SAT conflict cap {conflict_cap} exceeded")
                     if lit < 0:
                         break
                     if not decisions:
@@ -197,17 +190,16 @@ class Solver:
                 var = lit = -lit
 
     def solve(self, assumptions: Sequence[int] = (),
-              stats: SatStats | None = None,
-              conflict_cap: int | None = None) -> SatResult:
+              stats: SatStats | None = None) -> SatResult:
         """Search under `assumptions`.  The level-0 trail is restored
-        before returning, also when the conflict cap raises."""
+        before returning, also when an assumption is refused."""
         stats = stats if stats is not None else SatStats()
         stats.calls += 1
         if self.root_conflict:
             return SatResult("unsat", stats=stats)
         root = len(self._trail)
         try:
-            if not self._search(assumptions, stats, conflict_cap):
+            if not self._search(assumptions, stats):
                 return SatResult("unsat", stats=stats)
             values = self._value[1:self.num_vars + 1]
         finally:
@@ -225,7 +217,6 @@ class Solver:
 def sat_solve(clauses: Iterable[Sequence[int]] | Solver,
               num_vars: int | None = None,
               stats: SatStats | None = None,
-              conflict_cap: int | None = None,
               assumptions: Sequence[int] = ()) -> SatResult:
     """Complete decision procedure for the clauses together with the
     assumption literals.  `clauses` is a clause list or a prepared `Solver`
@@ -234,5 +225,5 @@ def sat_solve(clauses: Iterable[Sequence[int]] | Solver,
     assumption."""
     solver = clauses if isinstance(clauses, Solver) else Solver(clauses,
                                                                  num_vars)
-    return solver.solve(assumptions, stats, conflict_cap)
+    return solver.solve(assumptions, stats)
 

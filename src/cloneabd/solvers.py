@@ -2,9 +2,9 @@
 
 `ROUTES` is one ordered table of routes: literal knowledge bases (conjunctive
 or essentially-unary connectives), disjunctive knowledge bases, affine
-knowledge bases (GF(2) systems), a monotone candidate scan with a
-constant-time satisfiability shortcut, a general two-SAT-calls-per-candidate
-scan, and the brute-force oracle.  `route_of` picks the first entry whose
+knowledge bases (GF(2) systems), monotone knowledge bases (bit-parallel
+candidate tables), a general two-SAT-calls-per-candidate scan, and the
+brute-force oracle.  `route_of` picks the first entry whose
 `applies(clone, variant)` holds (never the oracle), and refuses a named
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `count(inst, budget)`, `count_label` (the count method the CLI reports) and
@@ -12,12 +12,13 @@ route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 product of forced and free hypotheses for the literal route, the points of
 one coset outside another for the affine route (both sets are computed
 once per instance and also give the count), the self-reducing walk over a
-per-instance prefix test for the disjunctive route, the hits of the
-monotone scan, and the oracle's listing for the general and oracle
-routes.  The candidate budget bounds the monotone and general scans (and
-the general route's oracle count and listing).  `solve`, `count_full` and
-`enumerate_full` take a route name, checked by `route_of`, or an entry
-`route_of` already resolved, and default to the clone's route.
+per-instance prefix test for the disjunctive route, the set bits of the
+candidate tables (counted by popcount) for the monotone route, and the hits
+of `abduction.explanation_hits` for the general and oracle routes.  The
+candidate budget bounds the monotone and general routes.  `solve`,
+`count_full` and `enumerate_full` take a route name, checked by
+`route_of`, or an entry `route_of` already resolved, and default to the
+clone's route.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        SolveOutcome, entails_manifestation,
-                        explanation_hits, first_hit,
+                        SolveOutcome, candidate_explanation,
+                        entails_manifestation, explanation_hits, first_hit,
                         is_explanation, oracle_count_full, oracle_enumerate,
-                        oracle_solve, scan_candidates)
-from .errors import CloneMismatchError
+                        oracle_solve)
+from .errors import CloneMismatchError, ResourceBudgetError
 from .formula import (App, Const, Formula, Literal, Var, eval_formula,
-                      free_vars)
-from .truthtable import TruthTable, essential_positions, function_properties
+                      formula_mask, free_vars)
+from .truthtable import (TruthTable, essential_positions,
+                         function_properties, projection_mask)
 from .lattice import CloneId, clone_leq, identify_clone
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 20
@@ -227,8 +229,7 @@ def _disjunctive_witness(
         raise CloneMismatchError(
             "disjunctive path handles literal and clause manifestations")
     clauses = _kb_clauses(inst)
-    mlits = ([inst.manifestation] if inst.variant == "Q"
-             else list(inst.manifestation))
+    mlits = inst.manifestation_literals
     positive = {l.var for l in mlits if l.positive}
     negative = {l.var for l in mlits if not l.positive}
     if any(not c for c in clauses) or not positive:
@@ -387,9 +388,8 @@ def build_affine_system(inst: AbductionInstance) -> AffineSystem:
         eqvars, rhs = formula_equation(inst.manifestation)
         negation = ((row(eqvars, rhs ^ 1),),)
     else:
-        mlits = ([inst.manifestation] if inst.variant == "Q"
-                 else inst.manifestation)
-        units = tuple(row([l.var], 0 if l.positive else 1) for l in mlits)
+        units = tuple(row([l.var], 0 if l.positive else 1)
+                      for l in inst.manifestation_literals)
         negation = (tuple((u,) for u in units) if inst.variant == "T"
                     else (units,))
     return AffineSystem(cols, rows, negation)
@@ -507,41 +507,37 @@ def _affine_explanations(inst: AbductionInstance) -> list[Explanation]:
 
 
 # ---------------------------------------------------------------------------
-# Monotone candidate scan
+# Monotone candidate tables
 
-def _monotone_kb(inst: AbductionInstance
-                 ) -> Callable[[Explanation, Iterable[str]], bool]:
-    """Whether the knowledge base holds with a candidate's literals, the
-    given variables false and every other variable true; the all-true
-    assignment is built once, here."""
-    all_true = dict.fromkeys(inst.variables, 1)
-
-    def holds(e: Explanation, false_vars: Iterable[str] = ()) -> bool:
-        sigma = dict(all_true)
-        sigma.update((l.var, int(l.positive)) for l in e.literals)
-        sigma.update(dict.fromkeys(false_vars, 0))
-        return all(eval_formula(phi, sigma) == 1 for phi in inst.kb)
-
-    return holds
+# A table covers 2^_BLOCK_BITS candidates: the last _BLOCK_BITS hypotheses
+# vary over its rows.
+_BLOCK_BITS = 16
 
 
-def _monotone_kb_sat(inst: AbductionInstance, e: Explanation) -> bool:
-    """With hypotheses fixed, a monotone knowledge base is satisfiable iff
-    setting every remaining variable true satisfies it."""
-    return _monotone_kb(inst)(e)
+def _kb_mask(inst: AbductionInstance, masks: dict[str, int], m: int) -> int:
+    """The arity-m table of the knowledge base, its variables given as
+    arity-m tables."""
+    out = (1 << (1 << m)) - 1
+    for phi in inst.kb:
+        out &= formula_mask(phi, masks, m)
+    return out
 
 
-def _monotone_accepts(inst: AbductionInstance
-                      ) -> Callable[[Explanation], bool] | None:
-    """The explanation test of the monotone scan, or None when the
-    manifestation rules out every candidate.  A positive clause is entailed
-    iff forcing its atoms false breaks the knowledge base even with the rest
-    all true."""
+def _monotone_tables(inst: AbductionInstance, budget: int
+                     ) -> Iterator[tuple[int, int]] | None:
+    """(start, table) per block of candidates in canonical order, bit i set
+    iff candidate start + i is a full explanation; None when the
+    manifestation rules out every candidate.  Within a block the last
+    hypotheses vary over the rows and the rest are fixed.  Every other
+    variable is true, which decides satisfiability of a monotone KB, and a
+    positive clause is entailed iff forcing its atoms false (for a term,
+    each atom) breaks the KB.  Like a scan that stops on reaching candidate
+    `budget`, bits from `budget` on are cleared and ResourceBudgetError
+    follows the last block if that candidate exists."""
     if inst.variant == "F":
         raise CloneMismatchError(
             "monotone scan handles literal, clause and term manifestations")
-    mlits = ([inst.manifestation] if inst.variant == "Q"
-             else list(inst.manifestation))
+    mlits = inst.manifestation_literals
     positive = [l.var for l in mlits if l.positive]
     negative = [l.var for l in mlits if not l.positive]
     tautological = inst.variant in ("Q", "C") and bool(
@@ -551,35 +547,54 @@ def _monotone_accepts(inst: AbductionInstance
         return None
     if inst.variant in ("Q", "C") and not positive and not tautological:
         return None
-    holds = _monotone_kb(inst)
+    # the atom sets whose forcing false must break the knowledge base
+    forced = ([] if tautological else [[v] for v in positive]
+              if inst.variant == "T" else [positive])
+    hyp = inst.hypotheses
+    m = min(len(hyp), _BLOCK_BITS)
+    full = (1 << (1 << m)) - 1
+    masks = dict.fromkeys(inst.variables, full)
+    masks.update((v, projection_mask(j, m))
+                 for j, v in enumerate(hyp[len(hyp) - m:]))
 
-    def accepts(e: Explanation) -> bool:
-        if not holds(e):
-            return False
-        if tautological:
-            return True
-        if inst.variant == "T":
-            return not any(holds(e, [v]) for v in positive)
-        return not holds(e, positive)
+    def tables() -> Iterator[tuple[int, int]]:
+        for start in range(0, min(1 << len(hyp), budget), 1 << m):
+            masks.update((v, full if start >> (len(hyp) - 1 - j) & 1 else 0)
+                         for j, v in enumerate(hyp[:len(hyp) - m]))
+            table = _kb_mask(inst, masks, m)
+            for atoms in forced:
+                if table:
+                    table &= ~_kb_mask(
+                        inst, {**masks, **dict.fromkeys(atoms, 0)}, m)
+            if budget - start < 1 << m:
+                table &= (1 << (budget - start)) - 1
+            yield start, table
+        if budget < 1 << len(hyp):
+            raise ResourceBudgetError(
+                f"monotone scan budget {budget} candidates exceeded")
 
-    return accepts
+    return tables()
 
 
-def _monotone_explanations(inst: AbductionInstance,
-                           budget: int) -> Iterator[Explanation]:
-    accepts = _monotone_accepts(inst)
-    if accepts is not None:
-        for _, e in scan_candidates(inst, accepts, budget, "monotone"):
-            yield e
+def _monotone_hits(inst: AbductionInstance,
+                   tables: Iterable[tuple[int, int]]
+                   ) -> Iterator[tuple[int, Explanation]]:
+    """The set bits of candidate tables, in order, as (index, candidate)
+    hits."""
+    for start, table in tables:
+        rows = bin(table)[:1:-1]
+        i = rows.find("1")
+        while i >= 0:
+            yield start + i, candidate_explanation(inst.hypotheses, start + i)
+            i = rows.find("1", i + 1)
 
 
 def solve_monotone(inst: AbductionInstance,
                    budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    accepts = _monotone_accepts(inst)
-    if accepts is None:
+    tables = _monotone_tables(inst, budget)
+    if tables is None:
         return SolveOutcome(False, None, "monotone-scan")
-    hits = scan_candidates(inst, accepts, budget, "monotone")
-    out = first_hit(inst, hits, "monotone-scan")
+    out = first_hit(inst, _monotone_hits(inst, tables), "monotone-scan")
     assert not out.found or is_explanation(inst, out.explanation)
     return out
 
@@ -630,14 +645,18 @@ ROUTES: dict[str, Route] = {
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),
-        count=lambda i, b: sum(1 for _ in _monotone_explanations(i, b)),
+        count=lambda i, b: sum(
+            t.bit_count() for _, t in _monotone_tables(i, b) or ()),
         count_label="monotone-scan",
-        explanations=lambda i, b: _monotone_explanations(i, b)),
+        explanations=lambda i, b: (e for _, e in _monotone_hits(
+            i, _monotone_tables(i, b) or ()))),
     "general": Route(
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
-        count=lambda i, b: oracle_count_full(i, b), count_label="oracle",
-        explanations=lambda i, b: oracle_enumerate(i, b)),
+        count=lambda i, b: sum(1 for _ in explanation_hits(i, b, "general")),
+        count_label="oracle",
+        explanations=lambda i, b: (e for _, e in explanation_hits(
+            i, b, "general"))),
     "oracle": Route(
         applies=lambda c, v: False,
         solve=lambda i, b: oracle_solve(i),

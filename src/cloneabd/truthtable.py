@@ -259,11 +259,14 @@ def compose(f: TruthTable, children_bits: Sequence[int], m: int) -> int:
 
 
 def projection_mask(j: int, m: int) -> int:
-    """Arity-m table of the j-th projection (0-based) as an int mask."""
-    out = 0
-    for row in range(1 << m):
-        if row_assignment(row, m)[j]:
-            out |= 1 << row
+    """Arity-m table of the j-th projection (0-based) as an int mask: runs
+    of 2^(m-1-j) rows false then true, doubled to cover all 2^m rows."""
+    run = 1 << (m - 1 - j)
+    out = ((1 << run) - 1) << run
+    width = 2 * run
+    while width < 1 << m:
+        out |= out << width
+        width *= 2
     return out
 
 

@@ -24,8 +24,8 @@ from cloneabd.reductions import (CnfFormula, DnfFormula, LinearSystem,
                                  gen_random_instance, linear_system_solvable,
                                  qbf_models, qbf_true)
 from cloneabd.sat import sat_solve
-from cloneabd.solvers import (_monotone_kb_sat, count_affine, count_full,
-                              enumerate_full, solve, solve_affine)
+from cloneabd.solvers import (_kb_mask, count_affine, count_full,
+                              enumerate_full, route_of, solve, solve_affine)
 from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, MAJ3, NOT, OR,
                                  XOR3, FunctionSet, TruthTable,
                                  clone_closure_masks, table_to_mask)
@@ -329,7 +329,10 @@ def test_criterion_8_golden_classification():
 
 
 # ---------------------------------------------------------------------------
-# 9. monotone shortcut
+# 9. monotone shortcut: with the hypotheses fixed, a monotone knowledge base
+# is satisfiable iff it holds with every other variable true.  The candidate
+# tables of the monotone route read this bit; here it is read at arity 0,
+# one candidate per table.
 
 def test_criterion_9_monotone_shortcut():
     deadline = Deadline(30)
@@ -345,10 +348,22 @@ def test_criterion_9_monotone_shortcut():
         e = Explanation(tuple(
             Literal(v, bool((bits >> i) & 1))
             for i, v in enumerate(inst.hypotheses)))
-        shortcut = _monotone_kb_sat(inst, e)
+        masks = dict.fromkeys(inst.variables, 1)
+        masks.update((l.var, int(l.positive)) for l in e.literals)
+        shortcut = _kb_mask(inst, masks, 0) == 1
         enc = encode_cnf(inst.kb, e.literals, inst.variables)
         assert shortcut == sat_solve(enc.clauses, enc.num_vars).is_sat, seed
     deadline.check("monotone shortcut")
+
+
+def test_monotone_count_at_twenty_hypotheses():
+    # 2^20 candidates, counted from sixteen candidate tables
+    inst = gen_random_instance(1, FunctionSet([MAJ3]), num_vars=26,
+                               num_formulas=8, num_hyp=20)
+    assert route_of(inst) == "monotone"
+    deadline = Deadline(1)
+    assert count_full(inst) == 50968
+    deadline.check("monotone count at h=20")
 
 
 # ---------------------------------------------------------------------------

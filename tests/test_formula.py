@@ -1,14 +1,15 @@
 """Formula parsing, evaluation, template substitution and CNF encoding."""
 
 import itertools
+import random
 
 import pytest
 
 from cloneabd.errors import InputError
 from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               encode_cnf, eval_formula, formula_depth,
-                              formula_size, free_vars, parse_formula,
-                              parse_literal, render_formula,
+                              formula_mask, formula_size, free_vars,
+                              parse_formula, parse_literal, render_formula,
                               replace_connectives, substitute_map, table_of)
 from cloneabd.sat import sat_solve
 from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet)
@@ -65,6 +66,37 @@ def test_formula_size_depth():
 def test_table_of():
     phi = parse_formula("(or x (and y z))", FNS)
     assert table_of(phi, ["x", "y", "z"]).bits == (0, 0, 0, 1, 1, 1, 1, 1)
+
+
+def test_formula_mask_matches_eval_formula():
+    # each row of the mask is the formula evaluated at that row's values of
+    # the variable masks; random formulas, with constants, over random masks
+    rng = random.Random(5)
+    fns = list(FNS)
+    names = ["a", "b", "c", "d"]
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return (Const(rng.randint(0, 1)) if rng.random() < 0.1
+                    else Var(rng.choice(names)))
+        f = rng.choice(fns)
+        return App(f, tuple(tree(depth - 1) for _ in range(f.arity)))
+
+    for _ in range(300):
+        phi = tree(rng.randint(0, 4))
+        m = rng.randint(0, 5)
+        masks = {v: rng.getrandbits(1 << m) for v in names}
+        got = formula_mask(phi, masks, m)
+        for row in range(1 << m):
+            sigma = {v: (mask >> row) & 1 for v, mask in masks.items()}
+            assert (got >> row) & 1 == eval_formula(phi, sigma), \
+                (render_formula(phi), m, row)
+        assert got >> (1 << m) == 0
+
+
+def test_formula_mask_unassigned_variable():
+    with pytest.raises(InputError, match="unassigned variable 'b'"):
+        formula_mask(parse_formula("(and a b)", FNS), {"a": 1}, 0)
 
 
 def test_balanced_tree_or():

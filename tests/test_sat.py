@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from cloneabd.errors import ResourceBudgetError
 from cloneabd.sat import SatStats, Solver, sat_solve
 
 
@@ -77,12 +76,6 @@ def test_stats_counted():
     assert stats.conflicts > 0
 
 
-def test_conflict_cap():
-    clauses = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
-    with pytest.raises(ResourceBudgetError):
-        sat_solve(clauses, 2, conflict_cap=0)
-
-
 def test_unforced_chain_of_ten_thousand_variables():
     # every decision is free, so a recursive search would nest 10 000 deep
     n = 10_000
@@ -111,16 +104,13 @@ def test_prepared_solver_under_assumptions():
             assert got.model == brute_least_model(units, n)
 
 
-def test_prepared_solver_answers_after_conflict_cap():
-    # the first decision, x1 false, conflicts at once
+def test_prepared_solver_answers_after_refused_assumption():
+    # the assumptions before the out-of-range one are assigned first
     clauses = [[1, 2], [1, -2], [-3, 4], [3, 5]]
     solver = Solver(clauses, 5)
-    for assumptions in ([], [3]):
-        stats = SatStats()
-        with pytest.raises(ResourceBudgetError):
-            sat_solve(solver, stats=stats, conflict_cap=0,
-                      assumptions=assumptions)
-        assert stats.conflicts == 1
+    for assumptions in ([6], [3, -4, 6], [-5, 0]):
+        with pytest.raises(ValueError):
+            sat_solve(solver, assumptions=assumptions)
     for assumptions in ([], [-1], [3], [-4], [-4, -5], [2, -3]):
         got = sat_solve(solver, assumptions=assumptions)
         units = clauses + [[l] for l in assumptions]

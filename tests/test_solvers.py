@@ -6,9 +6,11 @@ import pytest
 
 from cloneabd import solvers
 from cloneabd.abduction import (AbductionInstance, Explanation,
-                                candidate_explanation, is_explanation,
-                                oracle_count_full, oracle_enumerate,
-                                oracle_solve)
+                                candidate_explanation, explanation_hits,
+                                first_hit, is_explanation, oracle_count_full,
+                                oracle_enumerate, oracle_solve,
+                                serialize_instance)
+from cloneabd.cli import main
 from cloneabd.errors import CloneMismatchError, ResourceBudgetError
 from cloneabd.formula import parse_formula
 from cloneabd.lattice import all_clone_ids, base_of
@@ -270,3 +272,69 @@ def test_monotone_count_beyond_oracle_scale():
     hyp = inst.hypotheses
     assert listed == [e for i in range(1 << len(hyp)) if is_explanation(
         inst, e := candidate_explanation(hyp, i))]
+
+
+def _or_budget_error(run):
+    try:
+        return run()
+    except ResourceBudgetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variant", "QCT")
+def test_monotone_tables_match_the_scan(monkeypatch, variant):
+    """Candidate tables of four candidates each against the candidate scan
+    of the general route: the same answers, `candidatesTried` and budget
+    errors, at budgets on both sides of block edges and of the last
+    candidate.  An instance whose manifestation rules out every candidate
+    is answered before any table: nothing tried, nothing counted."""
+    monkeypatch.setattr(solvers, "_BLOCK_BITS", 2)
+    fns = FunctionSet([MAJ3, OR, CONST1])
+    for seed in range(16):
+        inst = gen_random_instance(seed, fns, num_vars=7, num_formulas=3,
+                                   num_hyp=4, variant=variant,
+                                   allow_constants=True)
+        assert route_of(inst, "monotone") == "monotone"
+        if solvers._monotone_tables(inst, 0) is None:
+            for budget in (0, 1 << 20):
+                assert solve_monotone(inst, budget).candidates_tried == 0
+                assert count_full(inst, "monotone", budget) == 0
+                assert enumerate_full(inst, "monotone", budget) == []
+            continue
+        for budget in (0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17):
+            def scan():
+                return explanation_hits(inst, budget, "monotone")
+
+            def outcome(out):
+                return out.found, out.explanation, out.candidates_tried
+
+            want = (_or_budget_error(
+                        lambda: outcome(first_hit(inst, scan(), "m"))),
+                    _or_budget_error(lambda: [e for _, e in scan()]))
+            got = (_or_budget_error(
+                       lambda: outcome(solve_monotone(inst, budget))),
+                   _or_budget_error(
+                       lambda: enumerate_full(inst, "monotone", budget)))
+            assert got == want, (seed, budget)
+            count = _or_budget_error(
+                lambda: count_full(inst, "monotone", budget))
+            assert count == (want[1] if isinstance(want[1], str)
+                             else len(want[1])), (seed, budget)
+
+
+def test_general_count_beyond_oracle_scale(tmp_path, capsys):
+    # 21 variables: more than the oracle accepts; the general route counts
+    # and lists with its own scan
+    inst = gen_random_instance(0, FunctionSet([AND, NOT]), num_vars=22,
+                               num_formulas=6, num_hyp=12, variant="C")
+    assert route_of(inst) == "general"
+    assert len(inst.variables) == 21
+    with pytest.raises(ResourceBudgetError):
+        oracle_count_full(inst)
+    listed = enumerate_full(inst)
+    assert count_full(inst) == len(listed) == 1
+    assert is_explanation(inst, listed[0])
+    path = tmp_path / "inst.txt"
+    path.write_text(serialize_instance(inst))
+    assert main(["count", str(path)]) == 0
+    assert capsys.readouterr().out == "full explanations: 1 (method oracle)\n"

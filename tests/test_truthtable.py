@@ -12,7 +12,8 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IDENTITY,
                                  clone_closure_masks, compose, dual_fn,
                                  eval_fn, function_properties, mask_to_table,
                                  parse_function_line, parse_function_set,
-                                 row_assignment, row_index, separating_degree)
+                                 projection_mask, row_assignment, row_index,
+                                 separating_degree)
 
 from conftest import OR_AND
 
@@ -187,6 +188,15 @@ def test_compose_matches_pointwise_definition():
                     expected |= eval_fn(f, args) << row
                 assert compose(f, children, m) == expected, \
                     (f.bits, children, m)
+
+
+def test_projection_mask_matches_row_definition():
+    # row r of the j-th projection is x_{j+1} of row r, x1 most significant
+    for m in range(1, 7):
+        for j in range(m):
+            expected = sum(1 << row for row in range(1 << m)
+                           if row_assignment(row, m)[j])
+            assert projection_mask(j, m) == expected, (j, m)
 
 
 def test_clone_closure_disjunctions():
