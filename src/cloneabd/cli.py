@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import reductions, solvers
@@ -284,7 +285,9 @@ def cmd_repr(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `abd` parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="abd",
         description="clone-aware propositional abduction toolkit")
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON output")
-        p.add_argument("--budget", type=int, default=_default_budget(),
+        p.add_argument("--budget", type=int, default=None,
                        help="search budget (default from ABD_BUDGET)")
 
     p = sub.add_parser("identify", help="name the clone of a connective set")
@@ -352,8 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # the parser reads ABD_BUDGET, which may be malformed
         args = build_parser().parse_args(argv)
+        if args.budget is None:
+            # read per command, so a malformed value exits 2 and a changed
+            # one holds for the next call in this process
+            args.budget = _default_budget()
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

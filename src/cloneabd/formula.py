@@ -1,6 +1,6 @@
 """Formula ASTs over a declared connective set: parsing, printing,
 evaluation, substitution, balanced-tree rewriting, connective replacement and
-CNF gate encoding.
+CNF gate encoding (each gate by the prime implicates of its table).
 
 Concrete syntax is s-expressions: ``formula := var | '0' | '1' |
 '(' fname formula+ ')'``.  Variables match ``[a-zA-Z_][a-zA-Z0-9_']*``.
@@ -12,6 +12,8 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
@@ -332,15 +334,54 @@ class CnfEncoding:
         return v if literal.positive else -v
 
 
+@cache
+def gate_implicates(arity: int,
+                    bits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The prime implicates of g <-> f(c1..ck) for the table `bits`, as
+    clauses over positions: literal +-(j+1) is child j for j < k and +-(k+1)
+    is the gate g.  Shortest clauses first, then in enumeration order.
+
+    Points are the 2^(k+1) assignments with g least significant, so
+    `projection_mask` gives each position's points.  A clause is an
+    implicate iff its falsifying cube holds no model, and prime iff freeing
+    any one fixed position of that cube lets a model in.
+    """
+    width = arity + 1
+    models = sum(1 << (2 * row + out) for row, out in enumerate(bits))
+    every = (1 << (1 << width)) - 1
+    # the points where position j is 0, and where it is 1
+    sides = [(every ^ mask, mask)
+             for mask in (projection_mask(j, width) for j in range(width))]
+    # cube: per position None (free), 0 or 1, the values that falsify
+    empty = {}  # insertion-ordered, so the clause order is deterministic
+    for cube in product((None, 0, 1), repeat=width):
+        points = every
+        for side, value in zip(sides, cube):
+            if value is not None:
+                points &= side[value]
+        if not points & models:
+            empty[cube] = None
+    prime = []
+    for cube in empty:
+        fixed = [j for j, value in enumerate(cube) if value is not None]
+        if not any(cube[:j] + (None,) + cube[j + 1:] in empty
+                   for j in fixed):
+            prime.append(tuple(-(j + 1) if cube[j] else j + 1
+                               for j in fixed))
+    return tuple(sorted(prime, key=len))
+
+
 def encode_cnf(formulas: Iterable[Formula],
                assumptions: Iterable[Literal] = (),
                variables: Iterable[str] = ()) -> CnfEncoding:
     """Tseitin-style gate encoding of a conjunction of formulas plus
     assumption literals.
 
-    One fresh variable per internal node; per gate, one clause per table row
-    (full equivalence), so satisfying assignments project bijectively onto
-    the original variables.  Extra ``variables`` are allocated even when they
+    One fresh variable per internal node; per gate, the prime implicates of
+    g <-> f(children) (`gate_implicates`), so unit propagation derives a
+    child wherever the table forces one.  Each gate's clauses are a full
+    equivalence, so satisfying assignments project bijectively onto the
+    original variables.  Extra ``variables`` are allocated even when they
     do not occur, so projections and model counts range over them too.
     """
     enc = CnfEncoding([], {}, 0)
@@ -355,16 +396,12 @@ def encode_cnf(formulas: Iterable[Formula],
             g = enc.new_var()
             enc.clauses.append([g if phi.value else -g])
             return g
-        child = [gate(a) for a in phi.args]
+        lits = [gate(a) for a in phi.args]
         g = enc.new_var()
-        k = phi.fn.arity
-        for row in range(1 << k):
-            assignment = row_assignment(row, k)
-            out = phi.fn.bits[row]
-            clause = [-child[j] if assignment[j] else child[j]
-                      for j in range(k)]
-            clause.append(g if out else -g)
-            enc.clauses.append(clause)
+        lits.append(g)
+        for clause in gate_implicates(phi.fn.arity, phi.fn.bits):
+            enc.clauses.append([lits[e - 1] if e > 0 else -lits[-e - 1]
+                                for e in clause])
         return g
 
     for phi in formulas:

@@ -704,8 +704,9 @@ def count_full(inst: AbductionInstance, route: str | Route | None = None,
                budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Exact number of full explanations.  Counting is #P-hard already for
     disjunctive knowledge bases, so the disjunctive route counts the leaves
-    of its enumeration walk, the monotone route the hits of its scan, and
-    the general route falls back to the brute-force oracle."""
+    of its enumeration walk, and the monotone and general routes the hits
+    of their own scans (the general route's count keeps the label
+    `oracle`)."""
     return _entry(inst, route).count(inst, budget)
 
 

@@ -11,6 +11,7 @@ from cloneabd.abduction import (AbductionInstance, Explanation,
                                 eliminate_false, eliminate_true,
                                 is_explanation, oracle_count_full,
                                 oracle_enumerate, oracle_solve)
+from cloneabd.cli import main
 from cloneabd.formula import App, Literal, Var, eval_formula, encode_cnf
 from cloneabd.lattice import (all_clone_ids, base_of, classify_counting,
                               classify_decision, clone_leq, identify_clone,
@@ -122,6 +123,32 @@ def test_criterion_3_solver_oracle_equivalence():
                 cases += 1
     assert cases >= 1000
     deadline.check("solver/oracle equivalence")
+
+
+def test_general_route_refutes_a_wide_conjunction(tmp_path, capsys):
+    # the first KB formula forces every xi true and the second refutes x1
+    # and x2 together, so the KB is unsatisfiable; without clause learning
+    # it is answered in time only if unit propagation on the gate clauses
+    # refutes it
+    def conjunction(names):
+        if len(names) == 1:
+            return names[0]
+        half = len(names) // 2
+        return f"(and {conjunction(names[:half])} {conjunction(names[half:])})"
+
+    for n in (250, 4000):
+        path = tmp_path / f"wide{n}.txt"
+        path.write_text(
+            "fn and 2 0001\nfn not 1 10\n"
+            f"kb {conjunction([f'x{i}' for i in range(n)])}\n"
+            "kb (not (and x1 x2))\n"
+            f"hyp {' '.join(f'x{i}' for i in range(1, 11))}\n"
+            "query x0\n")
+        deadline = Deadline(10)
+        assert main(["solve", str(path)]) == 1
+        deadline.check(f"wide conjunction over {n} variables")
+        assert capsys.readouterr().out == \
+            "no explanation (method general-scan)\n"
 
 
 # ---------------------------------------------------------------------------

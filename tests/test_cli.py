@@ -336,6 +336,19 @@ def test_malformed_budget_variable_exits_2(or_file, inst_file, capsys,
     assert main([command, path]) == 0
 
 
+def test_budget_variable_is_read_per_command(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; ABD_BUDGET set after a first
+    # command still bounds the next one
+    p = tmp_path / "inst.txt"
+    p.write_text(BUDGETED["monotone"][0])
+    monkeypatch.delenv("ABD_BUDGET", raising=False)
+    assert main(["solve", str(p)]) == 0
+    monkeypatch.setenv("ABD_BUDGET", "1")
+    assert main(["solve", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("command", ["solve", "count", "enumerate"])
 def test_bad_hypothesis_name_exits_2(tmp_path, capsys, command):
     # `!a` once became a hypothesis literally named "!a", and `solve`

@@ -12,7 +12,11 @@ from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               parse_formula, parse_literal, render_formula,
                               replace_connectives, substitute_map, table_of)
 from cloneabd.sat import sat_solve
-from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet)
+from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet,
+                                 TruthTable, row_assignment)
+
+from test_acceptance import SOLVER_BASES
+from test_sat import brute_least_model
 
 FNS = FunctionSet([AND, OR, NOT, XOR3, MAJ3])
 
@@ -150,6 +154,110 @@ def test_encode_cnf_models_match_truth_table():
                        for v, b in point.items()]
         res = sat_solve(enc.clauses, enc.num_vars, assumptions=assumptions)
         assert res.is_sat == bool(eval_formula(phi, point)), point
+
+
+def check_gate_clauses(fn):
+    """The clauses `encode_cnf` emits for one gate over fresh variables
+    have exactly the models of g <-> f, and each of them is prime."""
+    k = fn.arity
+    names = [f"x{j + 1}" for j in range(k)]
+    enc = encode_cnf([App(fn, tuple(map(Var, names)))], variables=names)
+    assert enc.clauses[-1] == [k + 1]  # variables 1..k, then the gate
+    clauses = enc.clauses[:-1]
+
+    def holds(clause, point):
+        return any(point[abs(l) - 1] == (l > 0) for l in clause)
+
+    models = []
+    for point in itertools.product((False, True), repeat=k + 1):
+        is_model = point[k] == bool(fn(*point[:k]))
+        assert all(holds(c, point) for c in clauses) == is_model, \
+            (fn.bits, point)
+        if is_model:
+            models.append(point)
+    for clause in clauses:
+        for drop in range(len(clause)):
+            shorter = clause[:drop] + clause[drop + 1:]
+            assert not all(holds(shorter, p) for p in models), \
+                (fn.bits, clause, drop)
+
+
+def test_gate_clauses_are_prime_implicates_of_every_small_table():
+    tables = 0
+    for k in range(4):
+        for bits in itertools.product((0, 1), repeat=1 << k):
+            check_gate_clauses(TruthTable("f", k, bits))
+            tables += 1
+    assert tables == 278
+    rng = random.Random(6)
+    check_gate_clauses(TruthTable(
+        "f6", 6, tuple(rng.randint(0, 1) for _ in range(64))))
+
+
+def test_gate_clauses_of_and_and_maj3():
+    assert encode_cnf([parse_formula("(and x y)", FNS)]).clauses == [
+        [2, -3], [1, -3], [-1, -2, 3], [3]]
+    maj3 = encode_cnf([parse_formula("(maj3 x y z)", FNS)]).clauses[:-1]
+    assert len(maj3) == 6 and all(len(c) == 3 for c in maj3)
+
+
+def row_encoding(formulas, variables):
+    """The row encoding: one clause per table row of each gate, numbered
+    as `encode_cnf` numbers its variables."""
+    var_of = {v: i + 1 for i, v in enumerate(sorted(variables))}
+    clauses = []
+    count = len(var_of)
+
+    def gate(phi):
+        nonlocal count
+        if isinstance(phi, Var):
+            if phi.name not in var_of:
+                count += 1
+                var_of[phi.name] = count
+            return var_of[phi.name]
+        child = [gate(a) for a in phi.args] if isinstance(phi, App) else []
+        count += 1
+        if isinstance(phi, Const):
+            clauses.append([count if phi.value else -count])
+            return count
+        for row, out in enumerate(phi.fn.bits):
+            clauses.append(
+                [-c if a else c
+                 for c, a in zip(child, row_assignment(row, phi.fn.arity))]
+                + [count if out else -count])
+        return count
+
+    for phi in formulas:
+        clauses.append([gate(phi)])
+    return clauses, var_of, count
+
+
+def test_least_model_matches_the_row_encoding():
+    # the same models, so the solver's least model is the row encoding's
+    rng = random.Random(12)
+    names = ["a", "b", "c"]
+    for fn_list in SOLVER_BASES:
+        for _ in range(12):
+            def tree(depth):
+                if depth == 0 or rng.random() < 0.3:
+                    return (Const(rng.randint(0, 1)) if rng.random() < 0.1
+                            else Var(rng.choice(names)))
+                fn = rng.choice(fn_list)
+                return App(fn, tuple(tree(depth - 1)
+                                     for _ in range(fn.arity)))
+
+            kb = [tree(rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+            enc = encode_cnf(kb, variables=names)
+            rows, var_of, n = row_encoding(kb, names)
+            assert (var_of, n) == (enc.var_of, enc.num_vars)
+            assumptions = [rng.choice((1, -1)) * var_of[v]
+                           for v in rng.sample(names, rng.randint(1, 2))]
+            for assumed in ([], assumptions):
+                want = brute_least_model(rows + [[l] for l in assumed], n)
+                got = sat_solve(enc.clauses, enc.num_vars,
+                                assumptions=assumed).model
+                assert got == want, (fn_list, [render_formula(f) for f in kb],
+                                     assumed)
 
 
 def test_encode_cnf_with_assumptions():
