@@ -11,16 +11,17 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (InputError, NoRepresentationError, ResourceBudgetError,
                      UnsupportedError)
-from .formula import (App, Formula, Var, formula_size, render_formula,
-                      table_of)
+from .formula import App, Formula, Var, table_of
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
                          PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
-                         TruthTable, compose, dual_fn, function_properties,
-                         projection_mask, separating_degree, table_to_mask)
+                         TruthTable, compose, dual_fn, fresh_tuples,
+                         function_properties, projection_mask,
+                         separating_degree, table_to_mask)
 
 Degree = float  # int >= 1, or INFINITE
 
@@ -209,45 +210,42 @@ def _close_constraints(cons: CloneRecord) -> CloneRecord:
             return CloneRecord(frozenset(c), s0, s1)
 
 
+@cache
+def closed_record(clone: CloneId) -> CloneRecord:
+    """The closed defining record of a clone: every property that holds
+    throughout it.  Two clones are equal exactly when these records are."""
+    return _close_constraints(constraints_of(clone))
+
+
 def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     """True iff clone c1 is included in clone c2 in the lattice.
 
     Each clone of the table is the intersection of the classes its
     constraint record names, so c1 <= c2 holds exactly when every
-    constraint of c2 follows from those of c1.  `_close_constraints` adds
+    constraint of c2 follows from those of c1.  `closed_record` adds
     every property that holds throughout c1, so comparing records decides
     the inclusion at any degree, with no truth table.  `tests/test_lattice.py`
     pins this to the base-membership definition `set_in_clone(base_of(c1),
     c2)` on every pair of degrees 2-4; acceptance criterion 2 checks it
     against the closure oracle.
     """
-    return _implies(_close_constraints(constraints_of(c1)), constraints_of(c2))
+    return _implies(closed_record(c1), constraints_of(c2))
 
 
 def identify_clone(fns: FunctionSet) -> CloneId:
-    """The smallest clone containing the function set, resolved to a name."""
-    sig = signature_of(fns)
-    candidates = []
-    for family in NONPARAMETRIC_FAMILIES:
-        clone = CloneId(family)
-        if _implies(sig, constraints_of(clone)):
-            candidates.append(clone)
+    """The smallest clone containing the function set, resolved to a name:
+    the one named clone (parametric families at the signature's degree)
+    whose closed record is the closed signature.  Every clone is the
+    intersection of the classes its record names (Böhler et al., "Playing
+    with Boolean blocks I", 2003), so exactly one clone has it."""
+    closed = _close_constraints(signature_of(fns))
+    candidates = [CloneId(family) for family in NONPARAMETRIC_FAMILIES]
     for family in PARAMETRIC_FAMILIES:
-        # the degree relevant to the family's separation side
-        sep = sig.s0 if family.startswith("S0") else sig.s1
-        if 2 <= sep < INFINITE:
-            clone = CloneId(family, int(sep))
-            if _implies(sig, constraints_of(clone)):
-                candidates.append(clone)
-    best = candidates[0]
-    for clone in candidates[1:]:
-        if clone_leq(clone, best):
-            best = clone
-    # the lattice guarantees a unique minimum; check it
-    closed = _close_constraints(constraints_of(best))
-    assert all(_implies(closed, constraints_of(c)) for c in candidates), \
-        f"no unique minimal clone among {[c.name for c in candidates]}"
-    return best
+        degree = closed.s0 if family.startswith("S0") else closed.s1
+        if 2 <= degree < INFINITE:
+            candidates.append(CloneId(family, int(degree)))
+    (clone,) = [c for c in candidates if closed_record(c) == closed]
+    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +441,10 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
 
     Uniform-cost search over derived tables: witnesses are settled smallest
     first (size, then rendered text), so the first representation found is
-    the canonical one.  Variables are named x1..xn positionally.
+    the canonical one.  Each settled table composes, through
+    `fresh_tuples`, only the argument tuples that hold it beside tables
+    settled before; `budget` bounds the number of tuples composed.
+    Variables are named x1..xn positionally.
     """
     m = target.arity
     if m > CLOSURE_MAX_ARITY:
@@ -451,35 +452,29 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
             f"synthesis capped at arity {CLOSURE_MAX_ARITY}, target has {m}")
     target_mask = table_to_mask(target)
 
-    settled: dict[int, Formula] = {}
-    heap: list[tuple[int, str, int, Formula]] = []
-
-    def push(mask: int, phi: Formula, size: int) -> None:
-        heapq.heappush(heap, (size, render_formula(phi), mask, phi))
-
-    for j in range(m):
-        push(projection_mask(j, m), Var(f"x{j + 1}"), 1)
+    # mask -> (size, rendered text, formula) of its settled witness
+    settled: dict[int, tuple[int, str, Formula]] = {}
+    heap: list[tuple[int, str, int, Formula]] = [
+        (1, f"x{j + 1}", projection_mask(j, m), Var(f"x{j + 1}"))
+        for j in range(m)]
     for f in fns:
         if f.arity == 0:
             cmask = ((1 << (1 << m)) - 1) if f.bits[0] else 0
-            push(cmask, App(f, ()), 1)
+            heap.append((1, f"({f.name})", cmask, App(f, ())))
+    heapq.heapify(heap)
     expansions = 0
     while heap:
-        size, _, mask, phi = heapq.heappop(heap)
+        size, text, mask, phi = heapq.heappop(heap)
         if mask in settled:
             continue
-        settled[mask] = phi
+        old = list(settled)
+        settled[mask] = (size, text, phi)
         if mask == target_mask:
             check = table_of(phi, [f"x{j + 1}" for j in range(m)])
             assert check.bits == target.bits, "synthesized witness re-check failed"
             return phi
-        order = sorted(settled)
         for f in fns:
-            k = f.arity
-            if k == 0:
-                continue  # seeded up front
-            # tuples containing the newly settled mask at least once
-            for combo in _tuples_with(order, mask, k):
+            for combo in fresh_tuples(old, (mask,), f.arity):
                 expansions += 1
                 if expansions > budget:
                     raise ResourceBudgetError(
@@ -487,17 +482,11 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
                 new_mask = compose(f, combo, m)
                 if new_mask in settled:
                     continue
-                args = tuple(settled[c] for c in combo)
-                node = App(f, args)
-                push(new_mask, node, formula_size(node))
+                args = [settled[c] for c in combo]
+                heapq.heappush(heap, (
+                    1 + sum(a[0] for a in args),
+                    "(" + " ".join([f.name] + [a[1] for a in args]) + ")",
+                    new_mask, App(f, tuple(a[2] for a in args))))
     raise NoRepresentationError(
         f"{target.name!r} is not generated by the given connectives at "
         f"arity {m}")
-
-
-def _tuples_with(order: list[int], required: int, k: int):
-    """All k-tuples over `order` containing `required` at least once."""
-    from itertools import product as _product
-    for combo in _product(order, repeat=k):
-        if required in combo:
-            yield combo

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 MAX_ARITY = 6
 CLOSURE_MAX_ARITY = 4
@@ -285,16 +285,24 @@ def table_to_mask(f: TruthTable) -> int:
     return mask
 
 
+def fresh_tuples(old: Collection[int], new: Collection[int],
+                 k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-tuple over the disjoint masks `old` and `new` that holds a
+    member of `new`, each once: the step of semi-naive evaluation.  A tuple
+    is generated at its first `new` position i alone: positions before i
+    take `old` masks and positions after i any mask."""
+    known = [*old, *new]
+    for i in range(k):
+        yield from product(*[old] * i, new, *[known] * (k - 1 - i))
+
+
 def clone_closure_masks(fns: FunctionSet, m: int,
                         budget: int | None = None) -> set[int]:
     """All arity-m members of [B] as int table masks (fixpoint iteration).
 
-    The iteration is semi-naive: each round composes only argument tuples
-    that hold at least one mask from the frontier (the masks first found in
-    the previous round), since every other tuple was composed before.  A
-    tuple is generated at its first frontier position i alone: positions
-    before i take old masks, position i a frontier mask and positions after
-    i any known mask, so no tuple is composed twice in a round.  The
+    The iteration is semi-naive: each round composes, through
+    `fresh_tuples`, only the argument tuples that hold at least one mask of
+    the frontier (the masks first found in the previous round).  The
     budget bounds the number of tables known after each round.
     """
     if m > CLOSURE_MAX_ARITY:
@@ -306,23 +314,19 @@ def clone_closure_masks(fns: FunctionSet, m: int,
         old = known - frontier
         new: set[int] = set()
         for f in fns:
-            k = f.arity
-            if k == 0:
+            if f.arity == 0:
                 # arity-0 constant lifted to arity m
                 mask = ((1 << (1 << m)) - 1) if f.bits[0] else 0
                 if mask not in known:
                     new.add(mask)
                 continue
-            for i in range(k):
-                positions = [old] * i + [frontier] + [known] * (k - 1 - i)
-                for children in product(*positions):
-                    mask = compose(f, children, m)
-                    if mask not in known:
-                        new.add(mask)
+            for children in fresh_tuples(old, frontier, f.arity):
+                mask = compose(f, children, m)
+                if mask not in known:
+                    new.add(mask)
         known |= new
         frontier = new
         if budget is not None and len(known) > budget:
-            from .errors import ResourceBudgetError
             raise ResourceBudgetError(
                 f"closure exceeded budget of {budget} tables")
     return known

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cloneabd.formula import Literal, parse_formula
@@ -8,6 +10,17 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IMPLIES, MAJ3,
 # named tables used across the suite
 OR_AND = TruthTable("or_and", 3, (0, 0, 0, 1, 1, 1, 1, 1))  # x or (y and z)
 AND_OR = TruthTable("and_or", 3, (0, 0, 0, 0, 0, 1, 1, 1))  # x and (y or z)
+
+
+class Deadline:
+    def __init__(self, seconds):
+        self.start = time.monotonic()
+        self.seconds = seconds
+
+    def check(self, label):
+        elapsed = time.monotonic() - self.start
+        assert elapsed < self.seconds, \
+            f"{label}: {elapsed:.1f}s exceeds the {self.seconds}s bound"
 
 
 def make_instance(fn_list, kb_texts, hyps, variant, manifestation):

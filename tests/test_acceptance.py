@@ -3,7 +3,6 @@ bounds.  Every check here is exact (no tolerances)."""
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -31,21 +30,10 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, MAJ3, NOT, OR,
                                  XOR3, FunctionSet, TruthTable,
                                  clone_closure_masks, table_to_mask)
 
-from conftest import AND_OR, OR_AND
+from conftest import AND_OR, OR_AND, Deadline
 
 SOLVER_BASES = [[OR], [AND], [NOT], [XOR3], [OR_AND], [MAJ3], [ANDNOT],
                 [AND, NOT]]
-
-
-class Deadline:
-    def __init__(self, seconds):
-        self.start = time.monotonic()
-        self.seconds = seconds
-
-    def check(self, label):
-        elapsed = time.monotonic() - self.start
-        assert elapsed < self.seconds, \
-            f"{label}: {elapsed:.1f}s exceeds the {self.seconds}s bound"
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 representation synthesis."""
 
 import itertools
+import random
 
 import pytest
 
-from cloneabd.errors import NoRepresentationError, UnsupportedError
+from cloneabd.cli import main
+from cloneabd.errors import (NoRepresentationError, ResourceBudgetError,
+                             UnsupportedError)
 from cloneabd.formula import render_formula, table_of
 from cloneabd.lattice import (CloneId, all_clone_ids, base_of,
                               classify_counting, classify_decision,
@@ -16,7 +19,7 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IMPLIES, MAJ3,
                                  NOT, OR, XNOR, XOR, XOR3, FunctionSet,
                                  TruthTable, dual_fn)
 
-from conftest import AND_OR, OR_AND
+from conftest import AND_OR, OR_AND, Deadline
 
 
 def C(name):
@@ -59,6 +62,25 @@ def test_signature_xor3():
 def test_roundtrip_all_bases():
     for clone in all_clone_ids((2, 3, 4)):
         assert identify_clone(base_of(clone)) == clone
+
+
+def test_identify_gives_the_least_clone_containing_the_set():
+    # a set lies in a clone exactly when its identified clone does: every
+    # table of arity 0-3 alone, and random pairs of them
+    tables = [TruthTable(f"f{len(bits)}", k, bits) for k in range(4)
+              for bits in itertools.product((0, 1), repeat=1 << k)]
+    assert len(tables) == 278
+    rng = random.Random(13)
+    sets = [[f] for f in tables]
+    sets += [[f, g.renamed("g")] for f, g in
+             (rng.sample(tables, 2) for _ in range(200))]
+    clones = all_clone_ids((2, 3, 4))
+    for fs in sets:
+        fns = FunctionSet(fs)
+        least = identify_clone(fns)
+        for c in clones:
+            assert set_in_clone(fns, c) == clone_leq(least, c), \
+                ([f.bits for f in fs], least.name, c.name)
 
 
 def test_base_of_examples():
@@ -210,3 +232,36 @@ def test_synthesize_absent():
 def test_synthesize_nullary_target():
     phi = synthesize_representation(FunctionSet([CONST1]), CONST1)
     assert table_of(phi, []).bits == (1,)
+
+
+# (base, target, least budget that succeeds, formula found)
+_EXACT_BUDGETS = [
+    ([AND, NOT], OR, 182, "(not (and (not x1) (not x2)))"),
+    ([ANDNOT], AND, 25, "(andnot x1 (andnot x1 x2))"),
+    ([XOR, CONST1], XNOR, 49, "(xor (const1) (xor x1 x2))"),
+    ([IMPLIES], OR, 25, "(implies (implies x1 x2) x2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fs,target,budget,text", _EXACT_BUDGETS,
+    ids=["+".join(f.name for f in case[0]) + "-" + case[1].name
+         for case in _EXACT_BUDGETS])
+def test_synthesis_budget_is_exact(fs, target, budget, text):
+    # the budget counts the argument tuples composed: one fewer is too few
+    with pytest.raises(ResourceBudgetError):
+        synthesize_representation(FunctionSet(fs), target, budget - 1)
+    phi = synthesize_representation(FunctionSet(fs), target, budget)
+    assert render_formula(phi) == text
+
+
+def test_synthesis_budget_bounds_the_work(tmp_path, capsys):
+    # xor of four variables over {and, not} needs more than 200 000 tuples;
+    # the search must spend them and stop well inside the bound
+    base = tmp_path / "base.fns"
+    base.write_text("fn and 2 0001\nfn not 1 10\n")
+    deadline = Deadline(3)
+    assert main(["repr", str(base), "fn t 4 0110100110010111",
+                 "--budget", "200000"]) == 3
+    deadline.check("repr at budget 200000")
+    assert "synthesis budget 200000 exceeded" in capsys.readouterr().err

@@ -10,10 +10,10 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IDENTITY,
                                  IMPLIES, MAJ3, NOT, OR, XNOR, XOR, XOR3,
                                  FunctionSet, TruthTable, clone_closure,
                                  clone_closure_masks, compose, dual_fn,
-                                 eval_fn, function_properties, mask_to_table,
-                                 parse_function_line, parse_function_set,
-                                 projection_mask, row_assignment, row_index,
-                                 separating_degree)
+                                 eval_fn, fresh_tuples, function_properties,
+                                 mask_to_table, parse_function_line,
+                                 parse_function_set, projection_mask,
+                                 row_assignment, row_index, separating_degree)
 
 from conftest import OR_AND
 
@@ -228,6 +228,19 @@ def test_clone_closure_separating():
 def test_clone_closure_bf_ternary_is_everything():
     masks = clone_closure_masks(FunctionSet([AND, NOT]), 3)
     assert masks == set(range(256))
+
+
+def test_fresh_tuples_are_the_tuples_holding_a_new_mask():
+    # exactly the tuples over old | new that hold a member of new, each once
+    old, new = [3, 5, 6], [9, 12]
+    for k in range(1, 4):
+        got = list(fresh_tuples(old, new, k))
+        expected = [t for t in product(old + new, repeat=k)
+                    if any(c in new for c in t)]
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(expected), k
+    assert list(fresh_tuples(old, new, 0)) == []
+    assert list(fresh_tuples(old, [], 2)) == []
 
 
 def test_clone_closure_budget():
