@@ -9,7 +9,9 @@ literal (variant Q), a clause (C), a term (T) or a formula (F).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
@@ -39,9 +41,9 @@ class AbductionInstance:
         object.__setattr__(self, "hypotheses",
                            tuple(sorted(set(self.hypotheses))))
 
-    @property
-    def kb_vars(self) -> list[str]:
-        return free_vars(self.kb)
+    @cached_property
+    def kb_vars(self) -> tuple[str, ...]:
+        return tuple(free_vars(self.kb))
 
     @property
     def manifestation_literals(self) -> tuple[Literal, ...]:
@@ -56,17 +58,19 @@ class AbductionInstance:
             return free_vars(self.manifestation)
         return sorted({l.var for l in self.manifestation_literals})
 
-    @property
-    def variables(self) -> list[str]:
-        """The variable universe: KB, hypotheses and manifestation variables.
+    @cached_property
+    def variables(self) -> tuple[str, ...]:
+        """The variable universe, sorted: KB, hypotheses and manifestation
+        variables.
 
         Hypotheses and manifestation variables that do not occur in the KB
         are semantically free; keeping them in the universe makes counting
         and enumeration well defined for such (technically invalid but
-        useful) instances.
+        useful) instances.  Like `kb_vars`, it is computed once per
+        instance; equality and hashing read the fields only.
         """
-        return sorted(set(self.kb_vars) | set(self.hypotheses)
-                      | set(self.manifestation_vars))
+        return tuple(sorted(set(self.kb_vars) | set(self.hypotheses)
+                            | set(self.manifestation_vars)))
 
     def manifestation_text(self) -> str:
         if self.variant == "F":
@@ -176,29 +180,50 @@ def _check_candidate(inst: AbductionInstance, e: Explanation) -> None:
 
 
 class ExplanationTest:
-    """The SAT side of the explanation test for one instance.  Gamma is
-    encoded once over the instance's variables, and for variant F so is
-    Gamma with the negated manifestation; each question is then answered by
-    `sat_solve` calls on these prepared solvers, with the literals as
-    assumptions (one call, or one per term literal for variant T)."""
+    """The SAT side of the explanation test for one instance.
+
+    `encode_cnf` runs once per instance, over Gamma followed, for variant F,
+    by the negated manifestation, and the encoding is kept as immutable
+    tuples: `clauses`, `num_vars` and `kb_end`, the clause and variable
+    counts of its Gamma prefix, which is Gamma's own encoding.  Gamma's
+    solver is built from that prefix, and for variant F a second one from
+    the whole encoding.  Each question is answered by `sat_solve` calls on
+    these prepared solvers with the literals as assumption ids (one call, or
+    one per term literal for variant T); `kb_sat_ids` and `entails_ids` take
+    the ids directly.  `fresh` builds new solvers over the same clauses."""
 
     def __init__(self, inst: AbductionInstance) -> None:
         self.inst = inst
-        enc = encode_cnf(inst.kb, (), inst.variables)
-        self._var_of = enc.var_of
-        self._kb = Solver(enc.clauses, enc.num_vars)
+        formulas = tuple(inst.kb)
         if inst.variant == "F":
-            negation = App(NOT, (inst.manifestation,))
-            enc = encode_cnf(list(inst.kb) + [negation], (), inst.variables)
-            self._kb_and_negation = Solver(enc.clauses, enc.num_vars)
-        else:
+            formulas += (App(NOT, (inst.manifestation,)),)
+        enc = encode_cnf(formulas, (), inst.variables)
+        self.var_of = enc.var_of
+        self.clauses = tuple(map(tuple, enc.clauses))
+        self.num_vars = enc.num_vars
+        self.kb_end = enc.prefix_ends[len(inst.kb)]
+        if inst.variant != "F":
             self._negation = [
-                -l for l in self._assumptions(inst.manifestation_literals)]
+                -l for l in self.assumption_ids(inst.manifestation_literals)]
+        self._prepare()
 
-    def _assumptions(self, literals: Iterable[Literal]) -> list[int]:
+    def _prepare(self) -> None:
+        kb_clauses, kb_vars = self.kb_end
+        self._kb = Solver(self.clauses[:kb_clauses], kb_vars)
+        if self.inst.variant == "F":
+            self._kb_and_negation = Solver(self.clauses, self.num_vars)
+
+    def fresh(self) -> "ExplanationTest":
+        """The same test on newly built solvers, for a re-check that shares
+        no solver state with this one."""
+        test = copy(self)
+        test._prepare()
+        return test
+
+    def assumption_ids(self, literals: Iterable[Literal]) -> list[int]:
         out = []
         for l in literals:
-            v = self._var_of.get(l.var)
+            v = self.var_of.get(l.var)
             if v is None:
                 raise InputError(
                     f"literal over a variable outside the instance: "
@@ -208,12 +233,16 @@ class ExplanationTest:
 
     def kb_sat(self, literals: Iterable[Literal]) -> bool:
         """Gamma + literals is satisfiable."""
-        return sat_solve(self._kb,
-                         assumptions=self._assumptions(literals)).is_sat
+        return self.kb_sat_ids(self.assumption_ids(literals))
 
     def entails(self, literals: Iterable[Literal]) -> bool:
         """Gamma + literals |= psi, by refutation."""
-        assumed = self._assumptions(literals)
+        return self.entails_ids(self.assumption_ids(literals))
+
+    def kb_sat_ids(self, assumed: list[int]) -> bool:
+        return sat_solve(self._kb, assumptions=assumed).is_sat
+
+    def entails_ids(self, assumed: list[int]) -> bool:
         if self.inst.variant == "F":
             return not sat_solve(self._kb_and_negation,
                                  assumptions=assumed).is_sat
@@ -281,20 +310,26 @@ def first_hit(inst: AbductionInstance,
 
 
 def explanation_hits(inst: AbductionInstance, budget: int | None,
-                     scan: str) -> Iterator[tuple[int, Explanation]]:
+                     scan: str, test: ExplanationTest | None = None
+                     ) -> Iterator[tuple[int, Explanation]]:
     """(index, candidate) for every full explanation, in canonical order:
-    the candidate scan, every candidate decided by `is_explanation` on one
-    `ExplanationTest`.  Reaching candidate `budget` raises
-    ResourceBudgetError, naming the `scan`."""
-    test = ExplanationTest(inst)
+    the candidate scan.  Every candidate is decided on one `ExplanationTest`
+    (`test`, or a fresh one) by the same two questions as `is_explanation`,
+    asked as assumption ids read from the index bits; a full candidate over
+    the hypotheses is valid by construction, and an `Explanation` is built
+    for hits only.  Reaching candidate `budget` raises ResourceBudgetError,
+    naming the `scan`."""
+    test = test if test is not None else ExplanationTest(inst)
     hyp = inst.hypotheses
-    for index in range(1 << len(hyp)):
+    n = len(hyp)
+    bits = [(1 << (n - 1 - j), test.var_of[v]) for j, v in enumerate(hyp)]
+    for index in range(1 << n):
         if budget is not None and index >= budget:
             raise ResourceBudgetError(
                 f"{scan} scan budget {budget} candidates exceeded")
-        e = candidate_explanation(hyp, index)
-        if is_explanation(inst, e, test):
-            yield index, e
+        assumed = [v if index & bit else -v for bit, v in bits]
+        if test.kb_sat_ids(assumed) and test.entails_ids(assumed):
+            yield index, candidate_explanation(hyp, index)
 
 
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:

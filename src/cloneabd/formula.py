@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence, Union
@@ -321,6 +321,9 @@ class CnfEncoding:
     clauses: list[list[int]]
     var_of: dict[str, int]
     num_vars: int
+    # (clause count, variable count) once the extra variables and the first
+    # i formulas are encoded, for i = 0 .. len(formulas)
+    prefix_ends: list[tuple[int, int]] = field(default_factory=list)
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -383,6 +386,8 @@ def encode_cnf(formulas: Iterable[Formula],
     equivalence, so satisfying assignments project bijectively onto the
     original variables.  Extra ``variables`` are allocated even when they
     do not occur, so projections and model counts range over them too.
+    The encoding of a prefix of ``formulas`` is a prefix of the result, and
+    ``prefix_ends`` says where each one ends.
     """
     enc = CnfEncoding([], {}, 0)
     for v in sorted(set(variables)):
@@ -404,8 +409,10 @@ def encode_cnf(formulas: Iterable[Formula],
                                 for e in clause])
         return g
 
+    enc.prefix_ends.append((0, enc.num_vars))
     for phi in formulas:
         enc.clauses.append([gate(phi)])
+        enc.prefix_ends.append((len(enc.clauses), enc.num_vars))
     for lit in assumptions:
         enc.clauses.append([enc.lit(lit)])
     return enc

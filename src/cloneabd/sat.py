@@ -1,15 +1,19 @@
 """A complete SAT solver for repeated queries on one clause set.
 
-`Solver` prepares the clauses once: duplicate literals and clauses go,
-tautologies are dropped, binary clauses become implication lists, two
-literals of every longer clause are watched and the unit clauses are
-propagated at level 0.  Each `sat_solve` call then searches under
-assumption literals with an explicit trail and decision stack, and returns
-to the level-0 trail afterwards (Eén & Sörensson, "An Extensible
-SAT-solver", SAT 2003).  Branching is deterministic: the lowest-index
-unassigned variable, false first, chronological backtracking and no
-learning, so a satisfiable call returns the least model with variable 1
-most significant and false before true.
+`Solver` prepares the clauses once: a clause that mentions a variable twice
+loses its repeated literals, or is dropped when it is a tautology; binary
+clauses become implication lists, two literals of every longer clause are
+watched and the unit clauses are propagated at level 0.  Each `sat_solve`
+call then searches under assumption literals with an explicit trail and
+decision stack, and returns to the level-0 trail afterwards (Eén &
+Sörensson, "An Extensible SAT-solver", SAT 2003).  A caller that asks many
+questions about one clause set therefore encodes it once, prepares one
+`Solver`, and passes each question as a list of assumption ids.  Branching
+is deterministic: the lowest-index unassigned variable, false first,
+chronological backtracking and no learning, so a satisfiable call returns
+the least model with variable 1 most significant and false before true.
+Every model is re-checked against every input clause and assumption before
+it is returned.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class Solver:
 
     def __init__(self, clauses: Iterable[Sequence[int]],
                  num_vars: int | None = None) -> None:
-        self.clauses = [tuple(c) for c in clauses]
+        self.clauses = list(map(tuple, clauses))
         used = max(map(abs, chain.from_iterable(self.clauses)), default=0)
         self.num_vars = max(used, num_vars or 0)
         size = 2 * self.num_vars + 1
@@ -60,22 +64,22 @@ class Solver:
         self._watches: list[list[list[int]]] = [[] for _ in range(size)]
         self._trail: list[int] = []
         self.root_conflict = False
-        seen: set[frozenset[int]] = set()
         units = []
         for c in self.clauses:
-            key = frozenset(c)
-            if key in seen or len(set(map(abs, key))) < len(key):
-                continue  # a duplicate or a tautology
-            seen.add(key)
-            lits = list(c) if len(key) == len(c) else list(dict.fromkeys(c))
-            if not lits:
+            if len(c) > 2 or len(c) == 2 and abs(c[0]) == abs(c[1]):
+                if len(set(map(abs, c))) < len(c):  # a variable repeats
+                    if len(set(c)) > len(set(map(abs, c))):
+                        continue  # a tautology
+                    c = tuple(dict.fromkeys(c))
+            if not c:
                 self.root_conflict = True
-            elif len(lits) == 1:
-                units.append(lits[0])
-            elif len(lits) == 2:
-                self._implied[lits[0]].append(lits[1])
-                self._implied[lits[1]].append(lits[0])
+            elif len(c) == 1:
+                units.append(c[0])
+            elif len(c) == 2:
+                self._implied[c[0]].append(c[1])
+                self._implied[c[1]].append(c[0])
             else:
+                lits = list(c)
                 self._watches[lits[0]].append(lits)
                 self._watches[lits[1]].append(lits)
         if not self.root_conflict:
@@ -204,13 +208,12 @@ class Solver:
             values = self._value[1:self.num_vars + 1]
         finally:
             self._undo(root)
-        # the re-check reads only the variables' values, in a literal table
-        # of its own
-        truth = [None, *values, *(not b for b in reversed(values))]
-        assert all(any(map(truth.__getitem__, c)) for c in self.clauses), \
+        # the re-check reads only the variables' values, in a set of true
+        # literals of its own
+        true = {v if b else -v for v, b in enumerate(values, start=1)}
+        assert not any(map(true.isdisjoint, self.clauses)), \
             "model failed re-check"
-        assert all(map(truth.__getitem__, assumptions)), \
-            "model failed an assumption"
+        assert true.issuperset(assumptions), "model failed an assumption"
         return SatResult("sat", dict(enumerate(values, start=1)), stats)
 
 

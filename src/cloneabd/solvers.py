@@ -29,7 +29,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        SolveOutcome, candidate_explanation,
+                        ExplanationTest, SolveOutcome, candidate_explanation,
                         entails_manifestation, explanation_hits, first_hit,
                         is_explanation, oracle_count_full, oracle_enumerate,
                         oracle_solve)
@@ -604,9 +604,12 @@ def solve_monotone(inst: AbductionInstance,
 
 def solve_general(inst: AbductionInstance,
                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    hits = explanation_hits(inst, budget, "general")
-    out = first_hit(inst, hits, "general-scan")
-    assert not out.found or is_explanation(inst, out.explanation)
+    test = ExplanationTest(inst)
+    out = first_hit(inst, explanation_hits(inst, budget, "general", test),
+                    "general-scan")
+    # re-decided on solvers built afresh from the scan's clauses
+    assert not out.found or is_explanation(inst, out.explanation,
+                                           test.fresh())
     return out
 
 

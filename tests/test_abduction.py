@@ -2,6 +2,7 @@
 elimination transforms."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -9,13 +10,14 @@ from cloneabd.abduction import (AbductionInstance, EMPTY_EXPLANATION,
                                 Explanation, ExplanationTest,
                                 candidate_explanation,
                                 eliminate_false, eliminate_true,
-                                entails_manifestation,
+                                entails_manifestation, explanation_hits,
                                 is_explanation, oracle_count_full,
                                 oracle_enumerate, oracle_solve,
                                 parse_instance, serialize_instance,
                                 validate_instance)
-from cloneabd.errors import InputError
-from cloneabd.formula import App, Literal, Var, eval_formula, parse_formula
+from cloneabd.errors import InputError, ResourceBudgetError
+from cloneabd.formula import (App, Literal, Var, encode_cnf, eval_formula,
+                              parse_formula)
 from cloneabd.reductions import gen_random_instance
 from cloneabd.truthtable import (AND, CONST0, CONST1, MAJ3, NOT, OR, XOR3,
                                  FunctionSet, TruthTable)
@@ -145,6 +147,110 @@ def test_one_explanation_test_answers_every_candidate(fns):
                 assert got == is_explanation(inst, e), (seed, variant, e)
                 assert got == truth_table_is_explanation(inst, e), \
                     (seed, variant, e)
+
+
+def _reference_hits(inst, budget):
+    """The candidate scan as `is_explanation` decides it, one `Explanation`
+    per candidate."""
+    test = ExplanationTest(inst)
+    for index in range(1 << len(inst.hypotheses)):
+        if budget is not None and index >= budget:
+            raise ResourceBudgetError(
+                f"general scan budget {budget} candidates exceeded")
+        e = candidate_explanation(inst.hypotheses, index)
+        if is_explanation(inst, e, test):
+            yield index, e
+
+
+def _hits_or_error(hits):
+    got = []
+    try:
+        got.extend(hits)
+    except ResourceBudgetError as exc:
+        return got, str(exc)
+    return got, None
+
+
+NO_KB = {
+    "Q": "fn or 2 0111\nfn not 1 10\nhyp a b\nquery c\n",
+    "F": "fn or 2 0111\nfn not 1 10\nhyp a b\nqformula (or c (not c))\n",
+}
+
+
+@pytest.mark.parametrize("fns", [[AND, NOT], [MAJ3], [XOR3], [RANDOM3]],
+                         ids=["and_not", "maj3", "xor3", "random3"])
+def test_explanation_hits_match_is_explanation(fns):
+    """The scan over assumption ids yields the (index, explanation) pairs
+    of a scan that asks `is_explanation` about each candidate, and raises
+    the same budget error after the same hits."""
+    instances = [parse_instance(text) for text in NO_KB.values()]
+    for seed in range(3):
+        for variant in "QCTF":
+            for num_hyp in range(7):
+                instances.append(gen_random_instance(
+                    seed, FunctionSet(fns), num_vars=num_hyp + 2,
+                    num_formulas=3, num_hyp=num_hyp, variant=variant))
+    for inst in instances:
+        size = 1 << len(inst.hypotheses)
+        for budget in (None, 0, 1, size // 2 + 1, size):
+            want = _hits_or_error(_reference_hits(inst, budget))
+            got = _hits_or_error(explanation_hits(inst, budget, "general"))
+            assert got == want, (serialize_instance(inst), budget)
+    # the tautology in the F instance without a KB makes every candidate one
+    assert len(list(explanation_hits(instances[1], None, "general"))) == 4
+
+
+@pytest.mark.parametrize("variant", "QCTF")
+def test_explanation_test_encodes_gamma_as_a_prefix(variant):
+    """One encoding per instance: its Gamma prefix is the clause list that
+    encoding Gamma alone gives, and for variant F the whole encoding is
+    that of Gamma with the negated manifestation."""
+    texts = [NO_KB["F" if variant == "F" else "Q"]]
+    instances = [parse_instance(text) for text in texts]
+    for seed in range(6):
+        instances.append(gen_random_instance(
+            seed, FunctionSet([AND, NOT]), num_vars=6, num_hyp=3,
+            variant=variant))
+    for inst in instances:
+        test = ExplanationTest(inst)
+        kb_clauses, kb_vars = test.kb_end
+        gamma = encode_cnf(inst.kb, (), inst.variables)
+        assert test.clauses[:kb_clauses] == tuple(map(tuple, gamma.clauses))
+        assert kb_vars == gamma.num_vars
+        formulas = list(inst.kb)
+        if variant == "F":
+            formulas.append(App(NOT, (inst.manifestation,)))
+        whole = encode_cnf(formulas, (), inst.variables)
+        assert test.clauses == tuple(map(tuple, whole.clauses))
+        assert test.num_vars == whole.num_vars
+        assert isinstance(test.clauses, tuple)
+        assert all(isinstance(c, tuple) for c in test.clauses)
+
+
+def test_fresh_explanation_test_shares_clauses_not_solvers():
+    inst = simple_instance("F", parse_formula("(and b c)",
+                                              FunctionSet([AND])))
+    test = ExplanationTest(inst)
+    again = test.fresh()
+    assert again.clauses is test.clauses
+    assert again._kb is not test._kb
+    assert again._kb_and_negation is not test._kb_and_negation
+    e = Explanation((lit("!a"),))
+    assert is_explanation(inst, e, again) == is_explanation(inst, e, test)
+
+
+def test_instance_variables_computed_once():
+    inst = simple_instance()
+    assert inst.variables == ("a", "b", "c")
+    assert inst.variables is inst.variables
+    assert inst.kb_vars is inst.kb_vars
+    # equality and hashing read the fields, not the cached values
+    twin = replace(inst)
+    assert "variables" not in vars(twin)
+    assert twin == inst and hash(twin) == hash(inst)
+    wider = replace(inst, kb=inst.kb + (Var("d"),))
+    assert wider.variables == ("a", "b", "c", "d")
+    assert inst.variables == ("a", "b", "c")
 
 
 def test_is_explanation_requires_consistency():

@@ -115,3 +115,45 @@ def test_prepared_solver_answers_after_refused_assumption():
         got = sat_solve(solver, assumptions=assumptions)
         units = clauses + [[l] for l in assumptions]
         assert got.model == brute_least_model(units, 5), assumptions
+
+
+def test_prepared_clauses_with_repeats_tautologies_and_duplicates():
+    """Clauses that repeat a literal, tautologies, duplicate clauses (also
+    with their literals permuted) and the empty clause: every answer is the
+    least model by brute force, also under assumptions."""
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        clauses = random_clauses(rng, n, 3 * n)
+        for c in list(clauses):
+            v = rng.randint(1, n)
+            if rng.random() < 0.3:
+                clauses.append(c + [c[0]] if c else [v, v])
+            if rng.random() < 0.3:
+                clauses.append(c + [v, -v])
+            if rng.random() < 0.3:
+                clauses.insert(rng.randint(0, len(clauses)),
+                               rng.sample(c, len(c)))
+        if rng.random() < 0.05:
+            clauses.insert(rng.randint(0, len(clauses)), [])
+        solver = Solver(clauses, n)
+        for assumptions in ([], [rng.choice([-1, 1]) * rng.randint(1, n)]):
+            got = sat_solve(solver, assumptions=assumptions)
+            units = clauses + [[l] for l in assumptions]
+            assert got.model == brute_least_model(units, n)
+
+
+def test_tampered_model_fails_the_re_check(monkeypatch):
+    """A search that claims a model the clauses or the assumptions refute
+    is caught before the model is returned."""
+    def assign_all_false(self, assumptions, stats):
+        for v in range(1, self.num_vars + 1):
+            self._assign(-v)
+        return True
+
+    monkeypatch.setattr(Solver, "_search", assign_all_false)
+    with pytest.raises(AssertionError, match="model failed re-check"):
+        sat_solve([[1, 2], [-1, -2]], 2)
+    with pytest.raises(AssertionError, match="model failed an assumption"):
+        sat_solve([[-1, -2]], 2, assumptions=[2])
+    assert sat_solve([[-1, -2]], 2, assumptions=[-2]).is_sat

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cloneabd import solvers
+from cloneabd import abduction, solvers
 from cloneabd.abduction import (AbductionInstance, Explanation,
                                 candidate_explanation, explanation_hits,
                                 first_hit, is_explanation, oracle_count_full,
@@ -338,3 +338,39 @@ def test_general_count_beyond_oracle_scale(tmp_path, capsys):
     path.write_text(serialize_instance(inst))
     assert main(["count", str(path)]) == 0
     assert capsys.readouterr().out == "full explanations: 1 (method oracle)\n"
+
+
+@pytest.mark.parametrize("variant", "QCTF")
+def test_general_answer_rechecked_on_fresh_solvers(monkeypatch, variant):
+    """A found general-route answer is decided again by `is_explanation`,
+    through `sat_solve`, on solvers that the scan never asked."""
+    asked = {"scan": set(), "re-check": set()}
+    phase = ["scan"]
+    real_sat_solve = abduction.sat_solve
+    real_is_explanation = solvers.is_explanation
+
+    def recording_sat_solve(solver, *args, **kwargs):
+        asked[phase[0]].add(id(solver))
+        return real_sat_solve(solver, *args, **kwargs)
+
+    def recheck(inst, e, test=None):
+        phase[0] = "re-check"
+        return real_is_explanation(inst, e, test)
+
+    monkeypatch.setattr(abduction, "sat_solve", recording_sat_solve)
+    monkeypatch.setattr(solvers, "is_explanation", recheck)
+    found = 0
+    for seed in range(8):
+        inst = gen_random_instance(seed, FunctionSet([AND, NOT]),
+                                   num_vars=6, num_hyp=3, variant=variant)
+        asked["scan"].clear()
+        asked["re-check"].clear()
+        phase[0] = "scan"
+        out = solve_general(inst)
+        if out.found:
+            found += 1
+            assert asked["scan"] and asked["re-check"]
+            assert not asked["scan"] & asked["re-check"]
+        else:
+            assert not asked["re-check"]
+    assert found
