@@ -19,7 +19,7 @@ from .formula import (VAR_RE, App, Const, Formula, Literal, Var,
                       encode_cnf, free_vars, parse_formula, parse_literal,
                       render_formula, substitute_map)
 from .sat import Solver, sat_solve
-from .truthtable import NOT, OR, FunctionSet, TruthTable
+from .truthtable import OR, FunctionSet, TruthTable
 
 ORACLE_MAX_HYP = 16
 ORACLE_MAX_VARS = 20
@@ -182,42 +182,36 @@ def _check_candidate(inst: AbductionInstance, e: Explanation) -> None:
 class ExplanationTest:
     """The SAT side of the explanation test for one instance.
 
-    `encode_cnf` runs once per instance, over Gamma followed, for variant F,
-    by the negated manifestation, and the encoding is kept as immutable
-    tuples: `clauses`, `num_vars` and `kb_end`, the clause and variable
-    counts of its Gamma prefix, which is Gamma's own encoding.  Gamma's
-    solver is built from that prefix, and for variant F a second one from
-    the whole encoding.  Each question is answered by `sat_solve` calls on
-    these prepared solvers with the literals as assumption ids (one call, or
-    one per term literal for variant T); `kb_sat_ids` and `entails_ids` take
-    the ids directly.  `fresh` builds new solvers over the same clauses."""
+    `encode_cnf` runs once per instance, over Gamma and, for variant F, the
+    gate definitions of the manifestation psi, which are not asserted; the
+    encoding is kept as immutable tuples (`clauses`, `num_vars`).  One
+    solver is built over it.  Consistency is one `sat_solve` call with the
+    literals as assumption ids; entailment is refuted by one call per list
+    of negation assumptions added to them: the negated literals (Q, C), one
+    negated literal per list (T), or psi's negated root (F).  `kb_sat_ids`
+    and `entails_ids` take the ids directly.  `fresh` builds a new solver
+    over the same clauses."""
 
     def __init__(self, inst: AbductionInstance) -> None:
-        self.inst = inst
-        formulas = tuple(inst.kb)
-        if inst.variant == "F":
-            formulas += (App(NOT, (inst.manifestation,)),)
-        enc = encode_cnf(formulas, (), inst.variables)
+        psi = (inst.manifestation,) if inst.variant == "F" else ()
+        enc = encode_cnf(inst.kb, (), inst.variables, psi)
         self.var_of = enc.var_of
         self.clauses = tuple(map(tuple, enc.clauses))
         self.num_vars = enc.num_vars
-        self.kb_end = enc.prefix_ends[len(inst.kb)]
-        if inst.variant != "F":
-            self._negation = [
-                -l for l in self.assumption_ids(inst.manifestation_literals)]
-        self._prepare()
-
-    def _prepare(self) -> None:
-        kb_clauses, kb_vars = self.kb_end
-        self._kb = Solver(self.clauses[:kb_clauses], kb_vars)
-        if self.inst.variant == "F":
-            self._kb_and_negation = Solver(self.clauses, self.num_vars)
+        if inst.variant == "F":
+            negated = [-enc.roots[0]]
+        else:
+            negated = [-l for l in
+                       self.assumption_ids(inst.manifestation_literals)]
+        self._negations = ([[n] for n in negated] if inst.variant == "T"
+                           else [negated])
+        self._kb = Solver(self.clauses, self.num_vars)
 
     def fresh(self) -> "ExplanationTest":
-        """The same test on newly built solvers, for a re-check that shares
-        no solver state with this one."""
+        """The same test on a newly built solver, for a re-check that
+        shares no solver state with this one."""
         test = copy(self)
-        test._prepare()
+        test._kb = Solver(self.clauses, self.num_vars)
         return test
 
     def assumption_ids(self, literals: Iterable[Literal]) -> list[int]:
@@ -243,15 +237,8 @@ class ExplanationTest:
         return sat_solve(self._kb, assumptions=assumed).is_sat
 
     def entails_ids(self, assumed: list[int]) -> bool:
-        if self.inst.variant == "F":
-            return not sat_solve(self._kb_and_negation,
-                                 assumptions=assumed).is_sat
-        if self.inst.variant == "T":
-            return all(
-                not sat_solve(self._kb, assumptions=assumed + [n]).is_sat
-                for n in self._negation)
-        return not sat_solve(self._kb,
-                             assumptions=assumed + self._negation).is_sat
+        return not any(sat_solve(self._kb, assumptions=assumed + n).is_sat
+                       for n in self._negations)
 
 
 def entails_manifestation(inst: AbductionInstance,

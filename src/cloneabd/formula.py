@@ -321,9 +321,8 @@ class CnfEncoding:
     clauses: list[list[int]]
     var_of: dict[str, int]
     num_vars: int
-    # (clause count, variable count) once the extra variables and the first
-    # i formulas are encoded, for i = 0 .. len(formulas)
-    prefix_ends: list[tuple[int, int]] = field(default_factory=list)
+    # the literals equivalent to the formulas defined but not asserted
+    roots: list[int] = field(default_factory=list)
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -335,6 +334,23 @@ class CnfEncoding:
             v = self.new_var()
             self.var_of[literal.var] = v
         return v if literal.positive else -v
+
+    def gate(self, phi: Formula) -> int:
+        """Appends the definitions of phi's gates and returns a CNF literal
+        equivalent to phi; nothing asserts it."""
+        if isinstance(phi, Var):
+            return self.lit(Literal(phi.name, True))
+        if isinstance(phi, Const):
+            g = self.new_var()
+            self.clauses.append([g if phi.value else -g])
+            return g
+        lits = [self.gate(a) for a in phi.args]
+        g = self.new_var()
+        lits.append(g)
+        for clause in gate_implicates(phi.fn.arity, phi.fn.bits):
+            self.clauses.append([lits[e - 1] if e > 0 else -lits[-e - 1]
+                                 for e in clause])
+        return g
 
 
 @cache
@@ -376,7 +392,8 @@ def gate_implicates(arity: int,
 
 def encode_cnf(formulas: Iterable[Formula],
                assumptions: Iterable[Literal] = (),
-               variables: Iterable[str] = ()) -> CnfEncoding:
+               variables: Iterable[str] = (),
+               define: Iterable[Formula] = ()) -> CnfEncoding:
     """Tseitin-style gate encoding of a conjunction of formulas plus
     assumption literals.
 
@@ -386,33 +403,16 @@ def encode_cnf(formulas: Iterable[Formula],
     equivalence, so satisfying assignments project bijectively onto the
     original variables.  Extra ``variables`` are allocated even when they
     do not occur, so projections and model counts range over them too.
-    The encoding of a prefix of ``formulas`` is a prefix of the result, and
-    ``prefix_ends`` says where each one ends.
+    The gates of the ``define`` formulas follow those of ``formulas``
+    without being asserted; ``roots`` holds their literals, which a caller
+    may pass as assumptions.
     """
     enc = CnfEncoding([], {}, 0)
     for v in sorted(set(variables)):
         enc.lit(Literal(v, True))
-
-    def gate(phi: Formula) -> int:
-        """Returns a CNF literal equivalent to phi."""
-        if isinstance(phi, Var):
-            return enc.lit(Literal(phi.name, True))
-        if isinstance(phi, Const):
-            g = enc.new_var()
-            enc.clauses.append([g if phi.value else -g])
-            return g
-        lits = [gate(a) for a in phi.args]
-        g = enc.new_var()
-        lits.append(g)
-        for clause in gate_implicates(phi.fn.arity, phi.fn.bits):
-            enc.clauses.append([lits[e - 1] if e > 0 else -lits[-e - 1]
-                                for e in clause])
-        return g
-
-    enc.prefix_ends.append((0, enc.num_vars))
     for phi in formulas:
-        enc.clauses.append([gate(phi)])
-        enc.prefix_ends.append((len(enc.clauses), enc.num_vars))
+        enc.clauses.append([enc.gate(phi)])
+    enc.roots = [enc.gate(phi) for phi in define]
     for lit in assumptions:
         enc.clauses.append([enc.lit(lit)])
     return enc

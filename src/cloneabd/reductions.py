@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .abduction import (AbductionInstance, eliminate_false, eliminate_true)
 from .errors import CloneMismatchError, InputError
@@ -483,51 +484,63 @@ def qbf_true(chi: Qbf2Instance) -> bool:
 # ---------------------------------------------------------------------------
 # Source-problem file formats
 
+def _source_lines(text: str, comments: tuple[str, ...] = ("#",)
+                  ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comments):
+            yield lineno, line.split()
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise InputError(f"line {lineno}: expected integers, got "
+                         f"{' '.join(tokens)!r}") from None
+
+
+def _count(parts: list[str], lineno: int) -> int:
+    """The n >= 0 of a `directive n` header line."""
+    counts = _ints(parts[1:], lineno)
+    if len(counts) != 1 or counts[0] < 0:
+        raise InputError(f"line {lineno}: expected `{parts[0]} n`")
+    return counts[0]
+
+
 def parse_linear_system(text: str) -> LinearSystem:
     """Lines `eq i1 i2 ... = c`, optional `vars n` header."""
     num_vars = 0
     declared = False
     equations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _source_lines(text):
         if parts[0] == "vars":
-            num_vars = int(parts[1])
+            num_vars = _count(parts, lineno)
             declared = True
         elif parts[0] == "eq":
-            if "=" not in parts:
+            if "=" not in parts or parts.index("=") != len(parts) - 2:
                 raise InputError(f"line {lineno}: missing `= c`")
-            cut = parts.index("=")
-            indices = tuple(int(p) for p in parts[1:cut])
-            c = int(parts[cut + 1])
+            *indices, c = _ints(parts[1:-2] + parts[-1:], lineno)
             if declared and any(i > num_vars for i in indices):
                 raise InputError(
                     f"line {lineno}: variable index exceeds declared count")
-            equations.append((indices, c))
-            num_vars = max([num_vars] + list(indices))
+            equations.append((tuple(indices), c))
+            num_vars = max([num_vars] + indices)
         else:
             raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
     return LinearSystem(num_vars, tuple(equations))
-
-
-def _parse_int_literal(token: str, prefix: str = "x") -> Literal:
-    value = int(token)
-    if value == 0:
-        raise InputError("literal 0 is reserved")
-    return Literal(f"{prefix}{abs(value)}", value > 0)
 
 
 def parse_cnf(text: str) -> CnfFormula:
     """One clause per line, integer literals (1 -2 3 means x1 or not x2 or
     x3); `c` lines are comments."""
     clauses = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("c", "#")):
-            continue
-        clauses.append(tuple(_parse_int_literal(t) for t in line.split()))
+    for lineno, parts in _source_lines(text, ("c", "#")):
+        values = _ints(parts, lineno)
+        if 0 in values:
+            raise InputError(f"line {lineno}: literal 0 is reserved")
+        clauses.append(tuple(Literal(f"x{abs(v)}", v > 0) for v in values))
     return CnfFormula(tuple(clauses))
 
 
@@ -536,17 +549,13 @@ def parse_qbf(text: str) -> Qbf2Instance:
     integer literals: 1..n are x-variables, n+1..n+m are y-variables."""
     num_exists = num_forall = None
     raw_terms: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _source_lines(text):
         if parts[0] == "exists":
-            num_exists = int(parts[1])
+            num_exists = _count(parts, lineno)
         elif parts[0] == "forall":
-            num_forall = int(parts[1])
+            num_forall = _count(parts, lineno)
         elif parts[0] == "dnf":
-            raw_terms.append([int(p) for p in parts[1:]])
+            raw_terms.append(_ints(parts[1:], lineno))
         else:
             raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
     if num_exists is None or num_forall is None:

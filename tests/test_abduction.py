@@ -19,6 +19,7 @@ from cloneabd.errors import InputError, ResourceBudgetError
 from cloneabd.formula import (App, Literal, Var, encode_cnf, eval_formula,
                               parse_formula)
 from cloneabd.reductions import gen_random_instance
+from cloneabd.sat import Solver, sat_solve
 from cloneabd.truthtable import (AND, CONST0, CONST1, MAJ3, NOT, OR, XOR3,
                                  FunctionSet, TruthTable)
 
@@ -99,28 +100,33 @@ def test_is_explanation():
     assert not is_explanation(inst, Explanation((lit("!a"), lit("!b"))))
 
 
+def kb_models(inst, e):
+    """Every assignment to the instance's variables that satisfies Gamma
+    and E, by evaluation."""
+    fixed = {l.var: int(l.positive) for l in e.literals}
+    free = [v for v in inst.variables if v not in fixed]
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        sigma = {**fixed, **dict(zip(free, bits))}
+        if all(eval_formula(phi, sigma) for phi in inst.kb):
+            yield sigma
+
+
+def manifestation_holds(inst, sigma):
+    m = inst.manifestation
+    if inst.variant == "F":
+        return eval_formula(m, sigma) == 1
+    if inst.variant == "Q":
+        return sigma[m.var] == m.positive
+    hits = [sigma[l.var] == l.positive for l in m]
+    return any(hits) if inst.variant == "C" else all(hits)
+
+
 def truth_table_is_explanation(inst, e):
     """Reference by evaluation: Gamma and E have a model, and every such
     model satisfies the manifestation."""
-    fixed = {l.var: int(l.positive) for l in e.literals}
-    free = [v for v in inst.variables if v not in fixed]
-    consistent = False
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        sigma = {**fixed, **dict(zip(free, bits))}
-        if not all(eval_formula(phi, sigma) for phi in inst.kb):
-            continue
-        consistent = True
-        m = inst.manifestation
-        if inst.variant == "F":
-            holds = eval_formula(m, sigma) == 1
-        elif inst.variant == "Q":
-            holds = sigma[m.var] == m.positive
-        else:
-            hits = [sigma[l.var] == l.positive for l in m]
-            holds = any(hits) if inst.variant == "C" else all(hits)
-        if not holds:
-            return False
-    return consistent
+    models = list(kb_models(inst, e))
+    return bool(models) and all(manifestation_holds(inst, sigma)
+                                for sigma in models)
 
 
 # a ternary table drawn at random (random.Random(5)); it generates BF
@@ -202,9 +208,8 @@ def test_explanation_hits_match_is_explanation(fns):
 
 @pytest.mark.parametrize("variant", "QCTF")
 def test_explanation_test_encodes_gamma_as_a_prefix(variant):
-    """One encoding per instance: its Gamma prefix is the clause list that
-    encoding Gamma alone gives, and for variant F the whole encoding is
-    that of Gamma with the negated manifestation."""
+    """One encoding per instance: Gamma's own encoding, followed for variant
+    F by the gate definitions of psi, which leave its root unasserted."""
     texts = [NO_KB["F" if variant == "F" else "Q"]]
     instances = [parse_instance(text) for text in texts]
     for seed in range(6):
@@ -213,18 +218,43 @@ def test_explanation_test_encodes_gamma_as_a_prefix(variant):
             variant=variant))
     for inst in instances:
         test = ExplanationTest(inst)
-        kb_clauses, kb_vars = test.kb_end
-        gamma = encode_cnf(inst.kb, (), inst.variables)
-        assert test.clauses[:kb_clauses] == tuple(map(tuple, gamma.clauses))
-        assert kb_vars == gamma.num_vars
-        formulas = list(inst.kb)
+        want = encode_cnf(inst.kb, (), inst.variables)
+        gamma_end = len(want.clauses)
         if variant == "F":
-            formulas.append(App(NOT, (inst.manifestation,)))
-        whole = encode_cnf(formulas, (), inst.variables)
-        assert test.clauses == tuple(map(tuple, whole.clauses))
-        assert test.num_vars == whole.num_vars
-        assert isinstance(test.clauses, tuple)
+            root = want.gate(inst.manifestation)
+            definitions = want.clauses[gamma_end:]
+            assert [root] not in definitions and [-root] not in definitions
+        assert test.clauses == tuple(map(tuple, want.clauses))
+        assert test.num_vars == want.num_vars
         assert all(isinstance(c, tuple) for c in test.clauses)
+
+
+@pytest.mark.parametrize("fns", [[AND, NOT], [MAJ3], [XOR3], [RANDOM3]],
+                         ids=["and_not", "maj3", "xor3", "random3"])
+def test_one_solver_answers_both_questions(fns):
+    """On every full and partial hypothesis assignment, the one solver
+    (with psi's definitions for variant F) is consistent exactly when a
+    solver over Gamma's clauses alone is, and it entails exactly when every
+    model of Gamma and the assignment satisfies the manifestation."""
+    for seed in range(4):
+        for variant in "QCTF":
+            inst = gen_random_instance(seed, FunctionSet(fns), num_vars=6,
+                                       num_hyp=3, variant=variant)
+            test = ExplanationTest(inst)
+            alone = encode_cnf(inst.kb, (), inst.variables)
+            gamma = Solver(alone.clauses, alone.num_vars)
+            for signs in itertools.product((None, True, False), repeat=3):
+                e = Explanation(tuple(
+                    Literal(v, positive)
+                    for v, positive in zip(inst.hypotheses, signs)
+                    if positive is not None))
+                assumed = test.assumption_ids(e.literals)
+                assert test.kb_sat_ids(assumed) == \
+                    sat_solve(gamma, assumptions=assumed).is_sat, \
+                    (seed, variant, e)
+                assert test.entails_ids(assumed) == all(
+                    manifestation_holds(inst, sigma)
+                    for sigma in kb_models(inst, e)), (seed, variant, e)
 
 
 def test_fresh_explanation_test_shares_clauses_not_solvers():
@@ -234,7 +264,6 @@ def test_fresh_explanation_test_shares_clauses_not_solvers():
     again = test.fresh()
     assert again.clauses is test.clauses
     assert again._kb is not test._kb
-    assert again._kb_and_negation is not test._kb_and_negation
     e = Explanation((lit("!a"),))
     assert is_explanation(inst, e, again) == is_explanation(inst, e, test)
 

@@ -182,6 +182,33 @@ def test_generate_from_source(tmp_path, capsys):
     assert sc["expectSolvable"] is True
 
 
+MALFORMED_SOURCES = {
+    "linsys-vars-not-a-number": ("linsys", L2_BASE, "vars x\n"),
+    "linsys-no-constant": ("linsys", L2_BASE, "eq 1 =\n"),
+    "pos2sat-not-a-literal": ("pos2sat", OR_BASE, "1 a\n"),
+    "qsat2-forall-no-count": ("qsat2", BF_BASE,
+                              "exists 1\nforall\ndnf 1\n"),
+    "qsat2-dnf-not-a-literal": ("qsat2", BF_BASE,
+                                "exists 1\nforall 1\ndnf 1 x\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SOURCES))
+def test_generate_malformed_source_is_input_error(tmp_path, capsys, name):
+    reduction, base_text, source_text = MALFORMED_SOURCES[name]
+    base = tmp_path / "base.fns"
+    base.write_text(base_text)
+    src = tmp_path / "source.txt"
+    src.write_text(source_text)
+    code = main(["generate", "--reduction", reduction, "--base", str(base),
+                 "--source", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.count("error:") == 1
+
 BF_INSTANCE = ("fn and 2 0001\nfn not 1 10\n"
                "kb (not (and a b))\nhyp a\nquery b\n")
 

@@ -156,6 +156,25 @@ def test_encode_cnf_models_match_truth_table():
         assert res.is_sat == bool(eval_formula(phi, point)), point
 
 
+
+def test_encode_cnf_defines_without_asserting():
+    """A defined formula's gates follow the asserted ones and its root is
+    left free: it holds under an assumption exactly where phi holds."""
+    phi = parse_formula("(maj3 x y (not z))", FNS)
+    asserted = encode_cnf([phi], variables=["x", "y", "z"])
+    enc = encode_cnf([], variables=["x", "y", "z"], define=[phi])
+    assert enc.clauses == asserted.clauses[:-1]
+    assert enc.roots == asserted.clauses[-1]
+    root = enc.roots[0]
+    for bits in itertools.product((0, 1), repeat=3):
+        point = dict(zip("xyz", bits))
+        assumptions = [enc.var_of[v] if b else -enc.var_of[v]
+                       for v, b in point.items()]
+        for g in (root, -root):
+            res = sat_solve(enc.clauses, enc.num_vars,
+                            assumptions=assumptions + [g])
+            assert res.is_sat == (eval_formula(phi, point) == (g > 0))
+
 def check_gate_clauses(fn):
     """The clauses `encode_cnf` emits for one gate over fresh variables
     have exactly the models of g <-> f, and each of them is prime."""

@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from cloneabd import abduction, solvers
-from cloneabd.abduction import (AbductionInstance, Explanation,
-                                candidate_explanation, explanation_hits,
-                                first_hit, is_explanation, oracle_count_full,
-                                oracle_enumerate, oracle_solve,
-                                serialize_instance)
+from cloneabd.abduction import (EMPTY_EXPLANATION, AbductionInstance,
+                                Explanation, candidate_explanation,
+                                explanation_hits, first_hit, is_explanation,
+                                oracle_count_full, oracle_enumerate,
+                                oracle_solve, serialize_instance)
 from cloneabd.cli import main
 from cloneabd.errors import CloneMismatchError, ResourceBudgetError
 from cloneabd.formula import parse_formula
@@ -59,6 +59,24 @@ def test_literal_solver_no_explanation():
     assert not out.found
     assert not oracle_solve(inst).found
 
+
+
+def test_literal_solver_formula_encoded_once(monkeypatch):
+    """Variant F on the literal route encodes the instance once: the
+    entailment check and its re-check share one clause list."""
+    encoded = []
+    real_encode_cnf = abduction.encode_cnf
+
+    def recording_encode_cnf(*args, **kwargs):
+        encoded.append(args)
+        return real_encode_cnf(*args, **kwargs)
+
+    monkeypatch.setattr(abduction, "encode_cnf", recording_encode_cnf)
+    inst = make_instance([AND], ["(and a (and b c))"], ["a"], "F",
+                         "(and b c)")
+    out = solve_literal_kb(inst)
+    assert out.found and out.explanation == EMPTY_EXPLANATION
+    assert len(encoded) == 1
 
 def test_literal_counts():
     inst = make_instance([AND], ["(and a (and b c))"], ["a", "b"],
