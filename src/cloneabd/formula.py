@@ -208,7 +208,11 @@ def formula_mask(phi: Formula, masks: Mapping[str, int], m: int) -> int:
         return masks[phi.name]
     if isinstance(phi, Const):
         return (1 << (1 << m)) - 1 if phi.value else 0
-    return compose(phi.fn, [formula_mask(a, masks, m) for a in phi.args], m)
+    # a plain loop: a comprehension would cost a second frame per level
+    children = []
+    for a in phi.args:
+        children.append(formula_mask(a, masks, m))
+    return compose(phi.fn, children, m)
 
 
 def table_of(phi: Formula, variables: Sequence[str] | None = None) -> TruthTable:
@@ -344,7 +348,9 @@ class CnfEncoding:
             g = self.new_var()
             self.clauses.append([g if phi.value else -g])
             return g
-        lits = [self.gate(a) for a in phi.args]
+        lits = []
+        for a in phi.args:  # a plain loop, as in `formula_mask`
+            lits.append(self.gate(a))
         g = self.new_var()
         lits.append(g)
         for clause in gate_implicates(phi.fn.arity, phi.fn.bits):

@@ -18,7 +18,7 @@ from .errors import (InputError, NoRepresentationError, ResourceBudgetError,
 from .formula import App, Formula, Var, table_of
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
-                         PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
+                         OR_AND, PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
                          TruthTable, compose, dual_fn, fresh_tuples,
                          function_properties, projection_mask,
                          separating_degree, table_to_mask)
@@ -266,7 +266,6 @@ _OR_AND_NOT_Z = TruthTable.from_callable(
     "or_and_not", 3, lambda x, y, z: x | (y & (1 - z)))
 _AND_OR_NOT_Z = TruthTable.from_callable(
     "and_or_not", 3, lambda x, y, z: x & (y | (1 - z)))
-_OR_AND = TruthTable.from_callable("or_and", 3, lambda x, y, z: x | (y & z))
 _AND_OR = TruthTable.from_callable("and_or", 3, lambda x, y, z: x & (y | z))
 _D_BASE = TruthTable.from_callable("dbase", 3, lambda x, y, z: (
     (x & (1 - y)) | (x & (1 - z)) | ((1 - y) & (1 - z))))
@@ -332,9 +331,9 @@ def base_of(clone: CloneId) -> FunctionSet:
             "S1": [ANDNOT],
             "S02": [_OR_AND_NOT_Z],
             "S12": [_AND_OR_NOT_Z],
-            "S01": [_OR_AND, CONST1],
+            "S01": [OR_AND, CONST1],
             "S11": [_AND_OR, CONST0],
-            "S00": [_OR_AND],
+            "S00": [OR_AND],
             "S10": [_AND_OR],
         }
         return FunctionSet(limit[fam])
@@ -345,7 +344,7 @@ def base_of(clone: CloneId) -> FunctionSet:
         "S12": [_AND_OR_NOT_Z, hn()],
         "S01": [dual_hn(), CONST1],
         "S11": [hn(), CONST0],
-        "S00": [_OR_AND, dual_hn()],
+        "S00": [OR_AND, dual_hn()],
         "S10": [_AND_OR, hn()],
     }
     return FunctionSet(parametric[fam])

@@ -20,12 +20,8 @@ from .formula import (App, Formula, Literal, Var, balanced_tree, free_vars,
                       replace_connectives)
 from .lattice import (CloneId, clone_leq, identify_clone,
                       synthesize_representation)
-from .truthtable import (AND, CONST0, CONST1, NOT, OR, XOR3, FunctionSet,
-                         TruthTable)
-
-# x or (y and z): the connective the formula-variant reduction leans on
-OR_AND = TruthTable.from_callable("or_and", 3, lambda x, y, z: x | (y & z))
-IMPLIES_FN = TruthTable.from_bitstring("implies", 2, "1101")
+from .truthtable import (AND, CONST0, CONST1, IMPLIES, NOT, OR, OR_AND,
+                         XOR3, FunctionSet, TruthTable)
 
 _L2 = CloneId("L2")
 _V2 = CloneId("V2")
@@ -319,17 +315,17 @@ def from_pi1_count(psi: Qbf2Instance, base: FunctionSet) -> AbductionInstance:
     rvars = {f"x{i}": f"_r{i}" for i in range(1, n + 1)}
     kb: list[Formula] = []
     for v in sorted(xp):
-        kb.append(App(IMPLIES_FN, (Var(v), Var(rvars[v]))))
-        kb.append(App(IMPLIES_FN, (Var(xp[v]), Var(rvars[v]))))
+        kb.append(App(IMPLIES, (Var(v), Var(rvars[v]))))
+        kb.append(App(IMPLIES, (Var(xp[v]), Var(rvars[v]))))
         kb.append(_or_tree([App(NOT, (Var(v),)), App(NOT, (Var(xp[v]),))]))
-    kb.append(App(IMPLIES_FN, (_dnf_formula(psi.matrix), Var(t))))
-    kb.append(App(IMPLIES_FN,
+    kb.append(App(IMPLIES, (_dnf_formula(psi.matrix), Var(t))))
+    kb.append(App(IMPLIES,
                   (_and_tree([Var(rvars[v]) for v in sorted(rvars)]
                              + [Var(t)]),
                    Var(q))))
     hyp = tuple(sorted(xp)) + tuple(sorted(xp[v] for v in xp))
     helper_inst = AbductionInstance(
-        FunctionSet([OR, AND, NOT, IMPLIES_FN]), tuple(kb), hyp, "Q",
+        FunctionSet([OR, AND, NOT, IMPLIES]), tuple(kb), hyp, "Q",
         Literal(q, True))
     return compile_instance(helper_inst, base, use_const0=True,
                             use_const1=True)
@@ -548,20 +544,23 @@ def parse_qbf(text: str) -> Qbf2Instance:
     """`exists n` and `forall m` headers, then one `dnf` term per line with
     integer literals: 1..n are x-variables, n+1..n+m are y-variables."""
     num_exists = num_forall = None
-    raw_terms: list[list[int]] = []
+    raw_terms: list[tuple[int, list[int]]] = []
     for lineno, parts in _source_lines(text):
         if parts[0] == "exists":
             num_exists = _count(parts, lineno)
         elif parts[0] == "forall":
             num_forall = _count(parts, lineno)
         elif parts[0] == "dnf":
-            raw_terms.append(_ints(parts[1:], lineno))
+            values = _ints(parts[1:], lineno)
+            if 0 in values:
+                raise InputError(f"line {lineno}: literal 0 is reserved")
+            raw_terms.append((lineno, values))
         else:
             raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
     if num_exists is None or num_forall is None:
         raise InputError("missing `exists`/`forall` header")
     terms = []
-    for t in raw_terms:
+    for lineno, t in raw_terms:
         lits = []
         for value in t:
             index = abs(value)
@@ -570,7 +569,8 @@ def parse_qbf(text: str) -> Qbf2Instance:
             elif index <= num_exists + num_forall:
                 name = f"y{index - num_exists}"
             else:
-                raise InputError(f"literal {value} outside quantifier range")
+                raise InputError(f"line {lineno}: literal {value} outside "
+                                 f"quantifier range")
             lits.append(Literal(name, value > 0))
         terms.append(tuple(lits))
     return Qbf2Instance(num_exists, num_forall, DnfFormula(tuple(terms)))

@@ -19,6 +19,17 @@ candidate budget bounds the monotone and general routes.  `solve`,
 `count_full` and `enumerate_full` take a route name, checked by
 `route_of`, or an entry `route_of` already resolved, and default to the
 clone's route.
+
+The literal, disjunctive and affine routes read each knowledge-base formula
+from its value at one point and at the n points one flip away from it, all
+n+1 rows of one `formula_mask` pass (`_flips`).  Over connectives within E,
+N, V or L these fix the formula: with conjunctive connectives it is 0 or
+the conjunction of the variables whose flip from the all-ones point changes
+its value; with essentially unary ones, a constant or the literal of the
+one variable whose flip from the all-zeros point does; with disjunctive
+ones, 1 or the clause of the variables whose flip from the all-zeros point
+does; with affine ones, the equation XOR(those variables) = 1 ^ the value
+at the all-zeros point.
 """
 
 from __future__ import annotations
@@ -33,10 +44,9 @@ from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         explanation_hits, first_hit, is_explanation,
                         oracle_count_full, oracle_enumerate, oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
-from .formula import (App, Const, Formula, Literal, Var, eval_formula,
-                      formula_mask, free_vars)
-from .truthtable import (TruthTable, essential_positions,
-                         function_properties, projection_mask)
+from .formula import App, Formula, Literal, formula_mask, free_vars
+from .truthtable import (PROPERTY_NAMES, function_properties,
+                         projection_mask)
 from .lattice import CloneId, clone_leq, identify_clone
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 20
@@ -49,66 +59,68 @@ _M = CloneId("M")
 
 
 # ---------------------------------------------------------------------------
+# One point and its flips: formulas over E, N, V or L in closed form
+
+def _classes(formulas: Iterable[Formula]) -> frozenset[str]:
+    """The classes of `function_properties` that every connective of the
+    formulas belongs to (all of them when there is none)."""
+    fns = set()
+    stack = list(formulas)
+    while stack:
+        phi = stack.pop()
+        if isinstance(phi, App):
+            fns.add(phi.fn)
+            stack.extend(phi.args)
+    return PROPERTY_NAMES.intersection(*map(function_properties, fns))
+
+
+def _flips(phi: Formula, base: int) -> tuple[int, list[str]]:
+    """phi's value at the point that sets every variable to `base`, and its
+    variables (sorted) whose flip alone changes that value: one
+    `formula_mask` over n+1 rows, row 0 the point and row j+1 the point with
+    variable j flipped.  Within E, N, V or L these fix phi."""
+    variables = free_vars(phi)
+    m = len(variables).bit_length()  # 2^m >= n+1 rows
+    full = (1 << (1 << m)) - 1
+    point = full if base else 0
+    table = formula_mask(phi, {v: point ^ (2 << j)
+                               for j, v in enumerate(variables)}, m)
+    value = table & 1
+    changed = table ^ (full if value else 0)
+    return value, [v for j, v in enumerate(variables)
+                   if changed >> (j + 1) & 1]
+
+
+# ---------------------------------------------------------------------------
 # Literal knowledge bases ([B] within E or N)
 
 _FALSE = "false"
 
 
-def _literal_normal_form(phi: Formula) -> dict[str, bool] | str:
-    """Forced-literal map of a formula built from conjunctive and
-    essentially-unary connectives; the string marker for an unsatisfiable
-    formula.  An empty map means the formula is valid."""
-    if isinstance(phi, Var):
-        return {phi.name: True}
-    if isinstance(phi, Const):
-        return {} if phi.value else _FALSE
-
-    props = function_properties(phi.fn)
-    essential = essential_positions(phi.fn)
-    if "e" in props:
-        # conjunction of the essential arguments (constants have none, a
-        # projection has one)
-        if not essential:
-            return {} if phi.fn.bits[0] else _FALSE
-        merged: dict[str, bool] = {}
-        for j in essential:
-            sub = _literal_normal_form(phi.args[j])
-            if sub == _FALSE:
-                return _FALSE
-            assert isinstance(sub, dict)
-            for v, b in sub.items():
-                if merged.setdefault(v, b) != b:
-                    return _FALSE
-        return merged
-    if "n" in props:
-        # not a conjunction, so the negation of its one essential argument
-        (j,) = essential
-        sub = _literal_normal_form(phi.args[j])
-        if sub == _FALSE:
-            return {}
-        assert isinstance(sub, dict)
-        if len(sub) == 0:
-            return _FALSE
-        if len(sub) == 1:
-            (v, b), = sub.items()
-            return {v: not b}
-        raise CloneMismatchError(
-            "negation applied to a conjunction: knowledge base is not "
-            "literal-shaped")
-    raise CloneMismatchError(
-        f"connective {phi.fn.name!r} is neither conjunctive nor "
-        f"essentially unary")
-
-
 def _forced_literals(inst: AbductionInstance) -> dict[str, bool] | str:
+    """Forced-literal map of a knowledge base whose connectives are all
+    conjunctive (read at the all-ones point) or all essentially unary (read
+    at the all-zeros point); the string marker for an unsatisfiable one.
+    An empty map means the knowledge base is valid."""
+    classes = _classes(inst.kb)
+    if "e" in classes:
+        base = 1
+    elif "n" in classes:
+        base = 0
+    else:
+        raise CloneMismatchError(
+            "knowledge base is neither conjunctive nor essentially unary")
     forced: dict[str, bool] = {}
     for phi in inst.kb:
-        sub = _literal_normal_form(phi)
-        if sub == _FALSE:
-            return _FALSE
-        assert isinstance(sub, dict)
-        for v, b in sub.items():
-            if forced.setdefault(v, b) != b:
+        value, flipped = _flips(phi, base)
+        if not value and not flipped:
+            return _FALSE  # the constant 0
+        # phi is the cube of its flipped variables: each at the base value
+        # when phi holds there (a conjunction, a negative literal), the one
+        # flipped variable away from it when not (a positive literal)
+        polarity = base == value
+        for v in flipped:
+            if forced.setdefault(v, polarity) != polarity:
                 return _FALSE
     return forced
 
@@ -175,42 +187,18 @@ def _literal_explanations(inst: AbductionInstance) -> list[Explanation]:
 # ---------------------------------------------------------------------------
 # Disjunctive knowledge bases ([B] within V, manifestation a literal/clause)
 
-_TRUE_CLAUSE = "true"
-
-
-def _disjunction_normal_form(phi: Formula) -> frozenset[str] | str:
-    """Variable set of a formula equivalent to a disjunction of variables;
-    the string marker for a valid formula.  An empty set is the constant 0."""
-    if isinstance(phi, Var):
-        return frozenset([phi.name])
-    if isinstance(phi, Const):
-        return _TRUE_CLAUSE if phi.value else frozenset()
-    if "v" not in function_properties(phi.fn):
-        raise CloneMismatchError(
-            f"connective {phi.fn.name!r} is not a disjunction of arguments")
-    essential = essential_positions(phi.fn)
-    if not essential:
-        return _TRUE_CLAUSE if phi.fn.bits[0] else frozenset()
-    out: frozenset[str] = frozenset()
-    for j in essential:
-        sub = _disjunction_normal_form(phi.args[j])
-        if sub == _TRUE_CLAUSE:
-            return _TRUE_CLAUSE
-        assert isinstance(sub, frozenset)
-        out |= sub
-    return out
-
-
 def _kb_clauses(inst: AbductionInstance) -> list[frozenset[str]]:
-    """Normalized positive clauses; valid formulas dropped.  An empty clause
-    marks an unsatisfiable knowledge base."""
+    """Positive clauses, read at the all-zeros point; valid formulas
+    dropped.  An empty clause marks an unsatisfiable knowledge base."""
+    if "v" not in _classes(inst.kb):
+        raise CloneMismatchError(
+            "knowledge base has a connective that is not a disjunction of "
+            "arguments")
     out = []
     for phi in inst.kb:
-        c = _disjunction_normal_form(phi)
-        if c == _TRUE_CLAUSE:
-            continue
-        assert isinstance(c, frozenset)
-        out.append(c)
+        value, flipped = _flips(phi, 0)
+        if not value:
+            out.append(frozenset(flipped))
     return out
 
 
@@ -308,30 +296,16 @@ class AffineSystem:
     negation: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _connectives(phi: Formula) -> set[TruthTable]:
-    if not isinstance(phi, App):
-        return set()
-    return {phi.fn}.union(*(_connectives(a) for a in phi.args))
-
-
 def formula_equation(phi: Formula) -> tuple[frozenset[str], int]:
     """The GF(2) equation asserted by a formula: (variables, bit) with
     XOR(variables) = bit.  Only formulas built from affine connectives are
-    accepted; such a formula is affine, so its values at the zero and unit
-    points fix it exactly."""
-    if not all("l" in function_properties(fn) for fn in _connectives(phi)):
+    accepted; such a formula is affine, so its values at the zero point and
+    the unit points fix it exactly."""
+    if "l" not in _classes([phi]):
         raise CloneMismatchError(
             "knowledge-base formula has a non-affine connective")
-    variables = free_vars(phi)
-    zero = {v: 0 for v in variables}
-    c0 = eval_formula(phi, zero)
-    eqvars = []
-    for v in variables:
-        point = dict(zero)
-        point[v] = 1
-        if eval_formula(phi, point) != c0:
-            eqvars.append(v)
-    return frozenset(eqvars), 1 ^ c0
+    value, flipped = _flips(phi, 0)
+    return frozenset(flipped), 1 ^ value
 
 
 # Echelon rows: pivots keyed by leading column (lowest set bit); a row's
@@ -659,7 +633,7 @@ ROUTES: dict[str, Route] = {
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
         count=lambda i, b: sum(1 for _ in explanation_hits(i, b, "general")),
-        count_label="oracle",
+        count_label="general-scan",
         explanations=lambda i, b: (e for _, e in explanation_hits(
             i, b, "general"))),
     "oracle": Route(
@@ -710,8 +684,7 @@ def count_full(inst: AbductionInstance, route: str | Route | None = None,
     """Exact number of full explanations.  Counting is #P-hard already for
     disjunctive knowledge bases, so the disjunctive route counts the leaves
     of its enumeration walk, and the monotone and general routes the hits
-    of their own scans (the general route's count keeps the label
-    `oracle`)."""
+    of their own scans."""
     return _entry(inst, route).count(inst, budget)
 
 

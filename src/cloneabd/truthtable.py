@@ -376,6 +376,7 @@ XOR = _tt("xor", 2, "0110")
 XNOR = _tt("xnor", 2, "1001")
 IMPLIES = _tt("implies", 2, "1101")
 ANDNOT = _tt("andnot", 2, "0010")  # x and not y
+OR_AND = _tt("or_and", 3, "00011111")  # x or (y and z)
 XOR3 = TruthTable.from_callable("xor3", 3, lambda x, y, z: x ^ y ^ z)
 MAJ3 = TruthTable.from_callable("maj3", 3,
                                 lambda x, y, z: (x & y) | (x & z) | (y & z))

@@ -255,6 +255,42 @@ def test_deep_formula_exits_3_without_output(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _left_nested(op, depth, operands):
+    kb = "a"
+    for i in range(depth):
+        kb = f"({op} {kb} {' '.join(operands(i))})"
+    return kb
+
+
+# 900-deep knowledge bases and their solve, count and enumerate exit codes;
+# in the `-none` cases the query's clause or equation holds a variable that
+# is neither the query nor a hypothesis, so nothing explains it
+OR_DEEP = _left_nested("or", 900, lambda i: [f"b{i % 5}"])
+XOR3_DEEP = _left_nested("xor3", 900,
+                         lambda i: [f"b{2 * i}", f"b{2 * i + 1}"])
+DEEP = {
+    "or-none": (f"{OR_BASE}kb {OR_DEEP}\nhyp a b1 b2 b3\nquery b0\n",
+                [1, 0, 0]),
+    "or-found": (f"{OR_BASE}kb {OR_DEEP}\nhyp a b1 b2 b3 b4\nquery b0\n",
+                 [0, 0, 0]),
+    "xor3-none": (f"{L2_BASE}kb {XOR3_DEEP}\nhyp a\nquery b0\n", [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_closed_form_kb_is_answered(tmp_path, capsys, name):
+    text, expected = DEEP[name]
+    p = tmp_path / "deep.txt"
+    p.write_text(text)
+    codes = [main([command, str(p)])
+             for command in ("solve", "count", "enumerate")]
+    captured = capsys.readouterr()
+    assert codes == expected
+    assert captured.err == ""
+    count = 1 if expected[0] == 0 else 0
+    assert f"full explanations: {count} " in captured.out
+
+
 # A named route outside its clone: an [AND, NOT] KB under `monotone`, whose
 # all-true shortcut would answer "no explanation" (the oracle finds !a), and
 # an S00 KB under `affine`, whose three-point reading would take x∨(y∧z) for

@@ -5,8 +5,9 @@ exact stdout and exit code of each command, as text and with `--json`. It
 was captured before solve, count and enumerate shared one route table.
 `_expected` applies the intended differences since then:
 - the disjunctive route counts with its enumeration walk and the monotone
-  route with its own scan instead of the oracle, so their count methods
-  read `V-witness` and `monotone-scan` instead of `oracle`;
+  and general routes with their own scans instead of the oracle, so their
+  count methods read `V-witness`, `monotone-scan` and `general-scan`
+  instead of `oracle`;
 - `enumerate` on the monotone and general routes outside V lists the
   explanations (in the oracle's canonical order) instead of exiting 2.
 """
@@ -28,7 +29,8 @@ def _case_id(case):
     return f"{case['route']}-{case['base']}-{case['variant']}-{found}"
 
 
-COUNT_LABELS = {"disjunctive": "V-witness", "monotone": "monotone-scan"}
+COUNT_LABELS = {"disjunctive": "V-witness", "monotone": "monotone-scan",
+                "general": "general-scan"}
 
 
 def _expected(case, command, code, stdout):

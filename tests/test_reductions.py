@@ -239,3 +239,17 @@ def test_parse_qbf():
     chi = parse_qbf("exists 2\nforall 1\ndnf 1 -3\ndnf 2\n")
     assert chi.num_exists == 2 and chi.num_forall == 1
     assert chi.matrix.terms == ((pos("x1"), neg("y1")), (pos("x2"),))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exists 1\nforall 1\ndnf 1 0\n", "line 3: literal 0 is reserved"),
+    ("exists 1\nforall 1\n\ndnf 1\ndnf -9 2\n",
+     "line 5: literal -9 outside quantifier range"),
+    # headers may follow the terms
+    ("dnf 3\nexists 1\nforall 1\n", "line 1: literal 3 outside quantifier "
+     "range"),
+], ids=["zero", "outside-range", "headers-after-terms"])
+def test_parse_qbf_names_the_line(text, message):
+    with pytest.raises(InputError) as info:
+        parse_qbf(text)
+    assert str(info.value) == message

@@ -1,6 +1,8 @@
 """Structure-specific solvers against the brute-force oracle."""
 
+import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,7 +14,8 @@ from cloneabd.abduction import (EMPTY_EXPLANATION, AbductionInstance,
                                 oracle_solve, serialize_instance)
 from cloneabd.cli import main
 from cloneabd.errors import CloneMismatchError, ResourceBudgetError
-from cloneabd.formula import parse_formula
+from cloneabd.formula import (App, Const, Var, balanced_tree, parse_formula,
+                              render_formula, table_of)
 from cloneabd.lattice import all_clone_ids, base_of
 from cloneabd.reductions import gen_random_instance
 from cloneabd.solvers import (ROUTES, count_affine, count_full,
@@ -20,9 +23,10 @@ from cloneabd.solvers import (ROUTES, count_affine, count_full,
                               solve_disjunctive_kb, solve_general,
                               solve_literal_kb, solve_monotone)
 from cloneabd.truthtable import (AND, ANDNOT, CONST1, MAJ3, NOT, OR, XNOR,
-                                 XOR, XOR3, FunctionSet)
+                                 XOR, XOR3, FunctionSet, function_properties,
+                                 mask_to_table)
 
-from conftest import AND_OR, OR_AND, lit, make_instance
+from conftest import AND_OR, OR_AND, Deadline, lit, make_instance
 
 BASES = [[OR], [AND], [NOT], [XOR3], [OR_AND], [MAJ3], [ANDNOT],
          [AND, NOT]]
@@ -182,6 +186,97 @@ def test_affine_solver_refuses_non_affine_connective():
         solve_affine(inst)
     with pytest.raises(CloneMismatchError):
         count_affine(inst)
+
+
+def test_literal_reading_refuses_mixed_connectives():
+    # ¬a∧b is a conjunction of literals, but the one-point reading needs
+    # every connective in E, or every connective in N
+    inst = make_instance([AND, NOT], ["(and (not a) b)"], ["a"],
+                         "Q", lit("b"))
+    with pytest.raises(CloneMismatchError):
+        solvers._forced_literals(inst)
+
+
+# Per class, every table of arity 0..3 in it: the connectives of the
+# formulas drawn below, constants and ignored arguments included.
+CLASS_TABLES = {
+    cls: [t for arity in range(4) for row in range(1 << (1 << arity))
+          if cls in function_properties(
+              t := mask_to_table(row, arity, f"t{arity}_{row}"))]
+    for cls in "envl"}
+
+
+def _random_formula(rng, tables, depth):
+    """A formula of depth at most `depth` over a, b, c, d, constants and
+    `tables`; four variables make repeated arguments common."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.15:
+            return Const(rng.randrange(2))
+        return Var(rng.choice("abcd"))
+    fn = rng.choice(tables)
+    return App(fn, tuple(_random_formula(rng, tables, depth - 1)
+                         for _ in range(fn.arity)))
+
+
+def _points(variables):
+    """Assignments in truth-table row order (first variable most
+    significant)."""
+    for values in product((False, True), repeat=len(variables)):
+        yield dict(zip(variables, values))
+
+
+@pytest.mark.parametrize("cls", "envl")
+def test_flip_reading_matches_the_table(cls):
+    """The forced literals (E and N), positive clauses (V) and GF(2)
+    equations (L) read from one point and its flips agree with the truth
+    table of random knowledge bases of one to three formulas."""
+    rng = random.Random(f"flips-{cls}")
+    variables = ["a", "b", "c", "d"]
+    for _ in range(150):
+        kb = tuple(_random_formula(rng, CLASS_TABLES[cls], 4)
+                   for _ in range(rng.randint(1, 3)))
+        inst = AbductionInstance(FunctionSet([]), kb, (), "Q", lit("a"))
+        table = [all(table_of(phi, variables).bits[row] for phi in kb)
+                 for row in range(16)]
+        if cls in "en":
+            forced = solvers._forced_literals(inst)
+            read = [forced != solvers._FALSE and all(
+                        point[v] == forced[v] for v in forced)
+                    for point in _points(variables)]
+        elif cls == "v":
+            clauses = solvers._kb_clauses(inst)
+            read = [all(any(point[v] for v in c) for c in clauses)
+                    for point in _points(variables)]
+        else:
+            equations = [solvers.formula_equation(phi) for phi in kb]
+            read = [all(sum(point[v] for v in eqvars) % 2 == bit
+                        for eqvars, bit in equations)
+                    for point in _points(variables)]
+        assert read == table, [render_formula(phi) for phi in kb]
+
+
+# route: (connective, number of full explanations)
+WIDE = {"affine": (XOR3, 2), "disjunctive": (OR, 2), "literal": (AND, 1)}
+
+
+@pytest.mark.parametrize("route", sorted(WIDE))
+def test_wide_closed_form_kb_answers(route):
+    """A balanced tree over 4001 variables is read in one pass: the route
+    solves and counts it in well under a second.  The small formula over
+    x0, x1 (and x2) decides the answer: x0 follows from x1 = x2 (affine),
+    from x1 false (disjunctive) and from the knowledge base alone
+    (literal)."""
+    deadline = Deadline(5)
+    op, count = WIDE[route]
+    tree = balanced_tree(op, [Var(f"x{i}") for i in range(4001)])
+    small = App(op, tuple(Var(f"x{i}") for i in range(op.arity)))
+    inst = AbductionInstance(FunctionSet([op]), (tree, small),
+                             ("x1", "x2"), "Q", lit("x0"))
+    assert route_of(inst) == route
+    out = solve(inst)
+    assert out.found and out.certificate_checked
+    assert count_full(inst) == count
+    deadline.check(route)
 
 
 @pytest.mark.parametrize("variant", ["Q", "C", "T", "F"])
@@ -355,7 +450,8 @@ def test_general_count_beyond_oracle_scale(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text(serialize_instance(inst))
     assert main(["count", str(path)]) == 0
-    assert capsys.readouterr().out == "full explanations: 1 (method oracle)\n"
+    assert capsys.readouterr().out == (
+        "full explanations: 1 (method general-scan)\n")
 
 
 @pytest.mark.parametrize("variant", "QCTF")
