@@ -19,7 +19,7 @@ from .formula import App, Formula, Var, table_of
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
                          OR_AND, PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
-                         TruthTable, compose, dual_fn, fresh_tuples,
+                         TruthTable, dual_fn, fresh_compositions,
                          function_properties, projection_mask,
                          separating_degree, table_to_mask)
 
@@ -441,8 +441,12 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
     Uniform-cost search over derived tables: witnesses are settled smallest
     first (size, then rendered text), so the first representation found is
     the canonical one.  Each settled table composes, through
-    `fresh_tuples`, only the argument tuples that hold it beside tables
-    settled before; `budget` bounds the number of tuples composed.
+    `fresh_compositions`, only the argument tuples that hold it beside
+    tables settled before, and pushes those whose table is not settled and
+    whose size is no larger than the least one pushed for that table (pops
+    only grow, so the least entry, the witness, is the same).  `budget`
+    bounds the number of argument tuples composed: (n+1)^k - n^k per
+    settled table and connective of arity k, with n tables settled before.
     Variables are named x1..xn positionally.
     """
     m = target.arity
@@ -461,6 +465,7 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
             cmask = ((1 << (1 << m)) - 1) if f.bits[0] else 0
             heap.append((1, f"({f.name})", cmask, App(f, ())))
     heapq.heapify(heap)
+    least = {mask: size for size, _, mask, _ in heap}  # least size pushed
     expansions = 0
     while heap:
         size, text, mask, phi = heapq.heappop(heap)
@@ -472,18 +477,21 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
             check = table_of(phi, [f"x{j + 1}" for j in range(m)])
             assert check.bits == target.bits, "synthesized witness re-check failed"
             return phi
+        n = len(old)
         for f in fns:
-            for combo in fresh_tuples(old, (mask,), f.arity):
-                expansions += 1
-                if expansions > budget:
-                    raise ResourceBudgetError(
-                        f"synthesis budget {budget} exceeded")
-                new_mask = compose(f, combo, m)
-                if new_mask in settled:
-                    continue
+            expansions += (n + 1) ** f.arity - n ** f.arity
+            if expansions > budget:
+                raise ResourceBudgetError(
+                    f"synthesis budget {budget} exceeded")
+            for combo, new_mask in fresh_compositions(f, old, (mask,), m,
+                                                      settled):
                 args = [settled[c] for c in combo]
+                new_size = 1 + sum(a[0] for a in args)
+                if new_size > least.get(new_mask, new_size):
+                    continue
+                least[new_mask] = new_size
                 heapq.heappush(heap, (
-                    1 + sum(a[0] for a in args),
+                    new_size,
                     "(" + " ".join([f.name] + [a[1] for a in args]) + ")",
                     new_mask, App(f, tuple(a[2] for a in args))))
     raise NoRepresentationError(

@@ -11,7 +11,7 @@ oracle at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .abduction import (AbductionInstance, eliminate_false, eliminate_true)
@@ -52,9 +52,17 @@ class LinearSystem:
                 raise InputError("equation variable index out of range")
 
 
+def _at(lines: tuple[int, ...], index: int) -> str:
+    """`line N: ` naming the source line of clause or term `index`, or
+    nothing for a formula that was not read from a file."""
+    return f"line {lines[index]}: " if lines else ""
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     clauses: tuple[tuple[Literal, ...], ...]
+    # the source line of each clause, when read by `parse_cnf`
+    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.clauses:
@@ -70,12 +78,15 @@ class CnfFormula:
 @dataclass(frozen=True)
 class DnfFormula:
     terms: tuple[tuple[Literal, ...], ...]
+    # the source line of each term, when read by `parse_qbf`
+    lines: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise InputError("empty DNF")
-        if any(not t for t in self.terms):
-            raise InputError("empty term in DNF")
+        for i, t in enumerate(self.terms):
+            if not t:
+                raise InputError(_at(self.lines, i) + "empty term in DNF")
 
     @property
     def variables(self) -> list[str]:
@@ -200,11 +211,13 @@ def from_two_in_three_sat(phi: CnfFormula,
     _require(any(clone_leq(low, clone) for low in _LOWER_M)
              and clone_leq(clone, _M),
              "2-in-3 reduction needs S00, S10 or D2 below [B] within M")
-    for c in phi.clauses:
+    for i, c in enumerate(phi.clauses):
         if len(c) != 3 or any(not l.positive for l in c):
-            raise InputError("clauses must hold exactly three positive atoms")
+            raise InputError(_at(phi.lines, i)
+                             + "clauses must hold exactly three positive atoms")
         if len({l.var for l in c}) != 3:
-            raise InputError("clause atoms must be pairwise distinct")
+            raise InputError(_at(phi.lines, i)
+                             + "clause atoms must be pairwise distinct")
     q = "_q0"
     kb: list[Formula] = []
     qis = []
@@ -236,9 +249,10 @@ def from_three_sat_term(phi: CnfFormula,
     primed = {v: f"_p{i}" for i, v in enumerate(variables, start=1)}
     qvars = {v: f"_q{i}" for i, v in enumerate(variables, start=1)}
     kb: list[Formula] = []
-    for c in phi.clauses:
+    for i, c in enumerate(phi.clauses):
         if len(c) > 3:
-            raise InputError("clauses must have width at most 3")
+            raise InputError(_at(phi.lines, i)
+                             + "clauses must have width at most 3")
         kb.append(_or_tree(
             [Var(l.var if l.positive else primed[l.var]) for l in c]))
     for v in variables:
@@ -260,8 +274,10 @@ def from_qsat2_formula(chi: Qbf2Instance,
     clone = identify_clone(base)
     _require(any(clone_leq(low, clone) for low in _LOWER_M),
              "QSAT2 reduction needs S00, S10 or D2 below [B]")
-    if any(len(t) > 3 for t in chi.matrix.terms):
-        raise InputError("matrix must be in 3-DNF")
+    for i, t in enumerate(chi.matrix.terms):
+        if len(t) > 3:
+            raise InputError(_at(chi.matrix.lines, i)
+                             + "matrix must be in 3-DNF")
     n, m = chi.num_exists, chi.num_forall
     q = "_q0"
     xp = {f"x{i}": f"_px{i}" for i in range(1, n + 1)}
@@ -339,9 +355,10 @@ def from_pos2sat_count(phi: CnfFormula,
     x1..xn equals 2^n minus the instance's full-explanation count."""
     _require(clone_leq(_V2, identify_clone(base)),
              "positive-2-SAT counting reduction needs OR in [B]")
-    for c in phi.clauses:
+    for i, c in enumerate(phi.clauses):
         if len(c) != 2 or any(not l.positive for l in c):
-            raise InputError("clauses must hold exactly two positive atoms")
+            raise InputError(_at(phi.lines, i)
+                             + "clauses must hold exactly two positive atoms")
     indices = []
     for v in phi.variables:
         if not (v.startswith("x") and v[1:].isdigit() and int(v[1:]) >= 1):
@@ -532,12 +549,14 @@ def parse_cnf(text: str) -> CnfFormula:
     """One clause per line, integer literals (1 -2 3 means x1 or not x2 or
     x3); `c` lines are comments."""
     clauses = []
+    lines = []
     for lineno, parts in _source_lines(text, ("c", "#")):
         values = _ints(parts, lineno)
         if 0 in values:
             raise InputError(f"line {lineno}: literal 0 is reserved")
         clauses.append(tuple(Literal(f"x{abs(v)}", v > 0) for v in values))
-    return CnfFormula(tuple(clauses))
+        lines.append(lineno)
+    return CnfFormula(tuple(clauses), tuple(lines))
 
 
 def parse_qbf(text: str) -> Qbf2Instance:
@@ -573,4 +592,6 @@ def parse_qbf(text: str) -> Qbf2Instance:
                                  f"quantifier range")
             lits.append(Literal(name, value > 0))
         terms.append(tuple(lits))
-    return Qbf2Instance(num_exists, num_forall, DnfFormula(tuple(terms)))
+    lines = tuple(lineno for lineno, _ in raw_terms)
+    return Qbf2Instance(num_exists, num_forall,
+                        DnfFormula(tuple(terms), lines))

@@ -125,11 +125,15 @@ def _forced_literals(inst: AbductionInstance) -> dict[str, bool] | str:
     return forced
 
 
-def solve_literal_kb(inst: AbductionInstance) -> SolveOutcome:
+def solve_literal_kb(inst: AbductionInstance,
+                     forced: dict[str, bool] | str | None = None
+                     ) -> SolveOutcome:
     """When the knowledge base is a conjunction of literals, the empty set
     explains the manifestation if anything does (hypotheses cannot mention
-    manifestation variables)."""
-    forced = _forced_literals(inst)
+    manifestation variables).  `forced` is the knowledge base's
+    `_forced_literals`, when the caller has read it already."""
+    if forced is None:
+        forced = _forced_literals(inst)
     if forced == _FALSE:
         return SolveOutcome(False, None, "literal-KB")
     assert isinstance(forced, dict)
@@ -162,9 +166,9 @@ def _literal_choices(inst: AbductionInstance
     """Per hypothesis, in order, the polarities a full explanation may give
     it: the forced one, or both; None when the instance has no explanation.
     The full explanations are exactly the products of these choices."""
-    if not solve_literal_kb(inst).found:
-        return None
     forced = _forced_literals(inst)
+    if not solve_literal_kb(inst, forced).found:
+        return None
     assert isinstance(forced, dict)
     return [(forced[v],) if v in forced else (False, True)
             for v in inst.hypotheses]

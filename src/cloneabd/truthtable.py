@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceBudgetError
@@ -285,15 +285,60 @@ def table_to_mask(f: TruthTable) -> int:
     return mask
 
 
-def fresh_tuples(old: Collection[int], new: Collection[int],
-                 k: int) -> Iterator[tuple[int, ...]]:
-    """Every k-tuple over the disjoint masks `old` and `new` that holds a
-    member of `new`, each once: the step of semi-naive evaluation.  A tuple
-    is generated at its first `new` position i alone: positions before i
-    take `old` masks and positions after i any mask."""
-    known = [*old, *new]
+def fresh_compositions(f: TruthTable, old: Collection[int],
+                       new: Collection[int], m: int, known: Collection[int]
+                       ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(tuple, compose(f, tuple, m)) for every k-tuple over the disjoint
+    masks `old` and `new` that holds a member of `new`, each once, whose
+    composition is not in `known`: the step of semi-naive evaluation.  A
+    tuple is generated at its first `new` position i alone: positions
+    before i take `old` masks and positions after i any mask.
+
+    f is evaluated by Shannon cofactor folding (Knuth, TAOCP 4A, 7.1.2):
+    from the 2^k masks of its rows, each `full` or 0, fixing the leading
+    argument to the mask c maps every cofactor pair (g0, g1) to
+    g0 ^ ((g0 ^ g1) & c).  Argument i is folded first, through f's rows
+    permuted to put it in front, so the innermost argument costs one
+    `g0 ^ (d & c)` and one `known` test per tuple, and a tuple is built
+    only for a composition that is not known."""
+    k = f.arity
+    full = (1 << (1 << m)) - 1
+    every = [*old, *new]
     for i in range(k):
-        yield from product(*[old] * i, new, *[known] * (k - 1 - i))
+        # fold order: argument i, then the others in place; row r in that
+        # order is f's row with the top i+1 bits of r rotated left by one
+        rest = k - 1 - i  # the arguments after i
+        cofactors = []
+        for r in range(1 << k):
+            top = r >> rest
+            row = ((top << 1 | top >> i) & ((2 << i) - 1)) << rest \
+                | r & ((1 << rest) - 1)
+            cofactors.append(full if f.bits[row] else 0)
+        pools = (new, *[old] * i, *[every] * rest)
+        for chosen, mask in _folded(cofactors, pools, known, ()):
+            yield (*chosen[1:i + 1], chosen[0], *chosen[i + 1:]), mask
+
+
+def _folded(cofactors: list[int], pools: Sequence[Collection[int]],
+            known: Collection[int], chosen: tuple[int, ...]
+            ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The unknown compositions of `fresh_compositions`, with their
+    arguments in fold order, given the cofactors left after folding
+    `chosen`."""
+    half = len(cofactors) >> 1
+    low = cofactors[:half]
+    diffs = [g0 ^ g1 for g0, g1 in zip(low, cofactors[half:])]
+    pool = pools[len(chosen)]
+    if half == 1:
+        g0, d = low[0], diffs[0]
+        for c in pool:
+            mask = g0 ^ (d & c)
+            if mask not in known:
+                yield (*chosen, c), mask
+        return
+    for c in pool:
+        yield from _folded([g0 ^ (d & c) for g0, d in zip(low, diffs)],
+                           pools, known, (*chosen, c))
 
 
 def clone_closure_masks(fns: FunctionSet, m: int,
@@ -301,9 +346,9 @@ def clone_closure_masks(fns: FunctionSet, m: int,
     """All arity-m members of [B] as int table masks (fixpoint iteration).
 
     The iteration is semi-naive: each round composes, through
-    `fresh_tuples`, only the argument tuples that hold at least one mask of
-    the frontier (the masks first found in the previous round).  The
-    budget bounds the number of tables known after each round.
+    `fresh_compositions`, only the argument tuples that hold at least one
+    mask of the frontier (the masks first found in the previous round).
+    The budget bounds the number of tables known after each round.
     """
     if m > CLOSURE_MAX_ARITY:
         raise InputError(
@@ -320,10 +365,8 @@ def clone_closure_masks(fns: FunctionSet, m: int,
                 if mask not in known:
                     new.add(mask)
                 continue
-            for children in fresh_tuples(old, frontier, f.arity):
-                mask = compose(f, children, m)
-                if mask not in known:
-                    new.add(mask)
+            new.update(mask for _, mask in
+                       fresh_compositions(f, old, frontier, m, known))
         known |= new
         frontier = new
         if budget is not None and len(known) > budget:

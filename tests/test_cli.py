@@ -209,6 +209,44 @@ def test_generate_malformed_source_is_input_error(tmp_path, capsys, name):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.count("error:") == 1
 
+
+# a clause or term of the wrong shape for its reduction: (reduction, base,
+# source, the line that holds it, message)
+SHAPE_ERRORS = {
+    "qsat2-four-literal-term": (
+        "qsat2", BF_BASE, "exists 2\nforall 2\ndnf 1 -3\n\ndnf 1 2 3 -4\n",
+        5, "matrix must be in 3-DNF"),
+    "qsat2-empty-term": ("qsat2", BF_BASE,
+                         "exists 1\nforall 1\ndnf 1 2\ndnf\n",
+                         4, "empty term in DNF"),
+    "pos2sat-three-atoms": ("pos2sat", OR_BASE, "1 2\n# c\n1 2 3\n", 3,
+                            "clauses must hold exactly two positive atoms"),
+    "pos2sat-negative-atom": ("pos2sat", OR_BASE, "1 -2\n", 1,
+                              "clauses must hold exactly two positive atoms"),
+    "2in3-two-atoms": ("2in3", "fn maj3 3 00010111\n", "1 2 3\n1 2\n", 2,
+                       "clauses must hold exactly three positive atoms"),
+    "2in3-repeated-atom": ("2in3", "fn maj3 3 00010111\n",
+                           "c comment\n1 2 2\n", 2,
+                           "clause atoms must be pairwise distinct"),
+    "3sat-term-four-literals": ("3sat-term", OR_BASE, "1 -2\n1 2 3 -4\n", 2,
+                                "clauses must have width at most 3"),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_ERRORS))
+def test_generate_shape_error_names_the_line(tmp_path, capsys, name):
+    reduction, base_text, source_text, line, message = SHAPE_ERRORS[name]
+    base = tmp_path / "base.fns"
+    base.write_text(base_text)
+    src = tmp_path / "source.txt"
+    src.write_text(source_text)
+    code = main(["generate", "--reduction", reduction, "--base", str(base),
+                 "--source", str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: line {line}: {message}\n"
+
+
 BF_INSTANCE = ("fn and 2 0001\nfn not 1 10\n"
                "kb (not (and a b))\nhyp a\nquery b\n")
 

@@ -2,13 +2,15 @@
 representation synthesis."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from cloneabd.cli import main
-from cloneabd.errors import (NoRepresentationError, ResourceBudgetError,
-                             UnsupportedError)
+from cloneabd.errors import (AbdError, NoRepresentationError,
+                             ResourceBudgetError, UnsupportedError)
 from cloneabd.formula import render_formula, table_of
 from cloneabd.lattice import (CloneId, all_clone_ids, base_of,
                               classify_counting, classify_decision,
@@ -17,7 +19,7 @@ from cloneabd.lattice import (CloneId, all_clone_ids, base_of,
                               signature_of, synthesize_representation)
 from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IMPLIES, MAJ3,
                                  NOT, OR, XNOR, XOR, XOR3, FunctionSet,
-                                 TruthTable, dual_fn)
+                                 TruthTable, dual_fn, parse_function_line)
 
 from conftest import AND_OR, OR_AND, Deadline
 
@@ -253,6 +255,31 @@ def test_synthesis_budget_is_exact(fs, target, budget, text):
         synthesize_representation(FunctionSet(fs), target, budget - 1)
     phi = synthesize_representation(FunctionSet(fs), target, budget)
     assert render_formula(phi) == text
+
+
+# `synth_golden.json` holds, for the base of every clone in
+# `all_clone_ids((2, 3))`, each named table of arity 2 or 3 in `truthtable`
+# as target and budgets 25 and 200000, the rendered witness or the error
+# (`<class>: <message>`) of `synthesize_representation`; also xor3 over
+# {nand, const1} and over {and, not, const1} at budget 200000.  It was
+# captured while each argument tuple was still composed on its own.
+SYNTH_GOLDEN = json.loads(
+    (Path(__file__).parent / "synth_golden.json").read_text())
+
+
+def test_synthesis_output_is_pinned():
+    wrong = []
+    for case in SYNTH_GOLDEN:
+        fns = FunctionSet(map(parse_function_line, case["base"]))
+        target = parse_function_line(case["target"])
+        try:
+            got = render_formula(
+                synthesize_representation(fns, target, case["budget"]))
+        except AbdError as e:
+            got = f"{type(e).__name__}: {e}"
+        if got != case["result"]:
+            wrong.append((case["clone"], target.name, case["budget"], got))
+    assert not wrong, wrong[:5]
 
 
 def test_synthesis_budget_bounds_the_work(tmp_path, capsys):

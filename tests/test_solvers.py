@@ -82,6 +82,23 @@ def test_literal_solver_formula_encoded_once(monkeypatch):
     assert out.found and out.explanation == EMPTY_EXPLANATION
     assert len(encoded) == 1
 
+def test_literal_count_reads_the_kb_once(monkeypatch):
+    """A literal-route count reads each knowledge-base formula once: the
+    forced literals that decide existence also give the choices."""
+    flipped = []
+    real_flips = solvers._flips
+
+    def recording_flips(*args):
+        flipped.append(args)
+        return real_flips(*args)
+
+    monkeypatch.setattr(solvers, "_flips", recording_flips)
+    inst = make_instance([AND], ["(and a b)", "(and c a)"], ["a", "b"],
+                         "Q", lit("c"))
+    assert count_full(inst, "literal") == oracle_count_full(inst) == 1
+    assert len(flipped) == 2
+
+
 def test_literal_counts():
     inst = make_instance([AND], ["(and a (and b c))"], ["a", "b"],
                          "Q", lit("c"))

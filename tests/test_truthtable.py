@@ -10,7 +10,8 @@ from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IDENTITY,
                                  IMPLIES, MAJ3, NOT, OR, XNOR, XOR, XOR3,
                                  FunctionSet, TruthTable, clone_closure,
                                  clone_closure_masks, compose, dual_fn,
-                                 eval_fn, fresh_tuples, function_properties,
+                                 eval_fn, fresh_compositions,
+                                 function_properties,
                                  mask_to_table, parse_function_line,
                                  parse_function_set, projection_mask,
                                  row_assignment, row_index, separating_degree)
@@ -230,17 +231,27 @@ def test_clone_closure_bf_ternary_is_everything():
     assert masks == set(range(256))
 
 
-def test_fresh_tuples_are_the_tuples_holding_a_new_mask():
-    # exactly the tuples over old | new that hold a member of new, each once
-    old, new = [3, 5, 6], [9, 12]
-    for k in range(1, 4):
-        got = list(fresh_tuples(old, new, k))
-        expected = [t for t in product(old + new, repeat=k)
-                    if any(c in new for c in t)]
-        assert len(got) == len(set(got))
-        assert sorted(got) == sorted(expected), k
-    assert list(fresh_tuples(old, new, 0)) == []
-    assert list(fresh_tuples(old, [], 2)) == []
+def test_fresh_compositions_are_the_unknown_tuples_holding_a_new_mask():
+    # exactly the tuples over old | new that hold a member of new, each
+    # once, with their composition, where that composition is not known
+    rng = random.Random(17)
+    for _ in range(400):
+        k, m = rng.randint(0, 3), rng.randint(1, 4)
+        f = TruthTable("f", k, tuple(rng.getrandbits(1)
+                                     for _ in range(1 << k)))
+        masks = rng.sample(range(1 << (1 << m)), min(7, 1 << (1 << m)))
+        cut = rng.randint(0, len(masks))
+        old, new = masks[:cut], masks[cut:rng.randint(cut, len(masks))]
+        tuples = [t for t in product(old + new, repeat=k)
+                  if any(c in new for c in t)]
+        composed = {compose(f, t, m) for t in tuples}
+        known = {mask for mask in composed if rng.random() < 0.5}
+        known.update(rng.getrandbits(1 << m) for _ in range(3))
+        got = list(fresh_compositions(f, old, new, m, known))
+        expected = [(t, compose(f, t, m)) for t in tuples
+                    if compose(f, t, m) not in known]
+        assert len(got) == len({t for t, _ in got})
+        assert sorted(got) == sorted(expected), (f.bits, old, new, m)
 
 
 def test_clone_closure_budget():
