@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
 from .truthtable import (FunctionSet, TruthTable, compose, eval_fn,
-                         mask_to_table, projection_mask, row_assignment)
+                         mask_to_table, projection_mask, row_index)
 
 VAR_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
@@ -73,21 +73,13 @@ def parse_literal(text: str) -> Literal:
 # ---------------------------------------------------------------------------
 # Parsing / printing
 
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            m = re.match(r"[^\s()]+", text[i:])
-            tokens.append((m.group(0), i))
-            i += m.end()
-    return tokens
+    """(token, position) pairs: each parenthesis, and each maximal run of
+    other characters that holds no whitespace."""
+    return [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
 
 
 def parse_formula(text: str, fns: FunctionSet) -> Formula:
@@ -229,22 +221,29 @@ def table_of(phi: Formula, variables: Sequence[str] | None = None) -> TruthTable
 
 def _check_associative(op: TruthTable) -> None:
     k = op.arity
-    if k == 2:
-        # op(op(x,y),z) == op(x,op(y,z))
-        for i in range(8):
-            x, y, z = row_assignment(i, 3)
-            if op(op(x, y), z) != op(x, op(y, z)):
-                raise InputError(f"connective {op.name!r} is not associative")
-    elif k == 3:
-        # regrouping identity for ternary chains
-        for i in range(32):
-            a, b, c, d, e = row_assignment(i, 5)
-            if op(op(a, b, c), d, e) != op(a, b, op(c, d, e)):
-                raise InputError(
-                    f"connective {op.name!r} does not regroup associatively")
-    else:
+    if k not in (2, 3):
         raise InputError(
             f"balanced trees support arity 2 or 3, not {k} ({op.name!r})")
+    if not _regroups(k, op.bits):
+        if k == 2:
+            raise InputError(f"connective {op.name!r} is not associative")
+        raise InputError(
+            f"connective {op.name!r} does not regroup associatively")
+
+
+@cache
+def _regroups(arity: int, bits: tuple[int, ...]) -> bool:
+    """Whether a binary table is associative, op(op(x,y),z) ==
+    op(x,op(y,z)), or a ternary one regroups, op(op(a,b,c),d,e) ==
+    op(a,b,op(c,d,e)); decided once per table, whatever its name."""
+    def op(*args: int) -> int:
+        return bits[row_index(args)]
+
+    if arity == 2:
+        return all(op(op(x, y), z) == op(x, op(y, z))
+                   for x, y, z in product((0, 1), repeat=3))
+    return all(op(op(a, b, c), d, e) == op(a, b, op(c, d, e))
+               for a, b, c, d, e in product((0, 1), repeat=5))
 
 
 def _split_sizes(n: int, k: int) -> list[int]:

@@ -92,10 +92,12 @@ class CloneRecord:
 
 
 def signature_of(fns: FunctionSet) -> CloneRecord:
-    return CloneRecord(
-        PROPERTY_NAMES.intersection(*(function_properties(f) for f in fns)),
-        min((separating_degree(f, 0) for f in fns), default=INFINITE),
-        min((separating_degree(f, 1) for f in fns), default=INFINITE))
+    bools, s0, s1 = PROPERTY_NAMES, INFINITE, INFINITE
+    for f in fns:  # a plain loop: this runs on every call's route choice
+        bools &= function_properties(f)
+        s0 = min(s0, separating_degree(f, 0))
+        s1 = min(s1, separating_degree(f, 1))
+    return CloneRecord(bools, s0, s1)
 
 
 # family -> (bool constraint names, separation side "s0"/"s1" or None);
@@ -232,14 +234,34 @@ def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     return _implies(closed_record(c1), constraints_of(c2))
 
 
+@cache
+def _named_by_record() -> dict[CloneRecord, CloneId]:
+    """Closed record -> clone, for every non-parametric family: the
+    constant table that `identify_clone` reads, built once per process."""
+    table = {closed_record(CloneId(f)): CloneId(f)
+             for f in NONPARAMETRIC_FAMILIES}
+    assert len(table) == len(NONPARAMETRIC_FAMILIES), \
+        "two clone families share a closed record"
+    return table
+
+
 def identify_clone(fns: FunctionSet) -> CloneId:
     """The smallest clone containing the function set, resolved to a name:
     the one named clone (parametric families at the signature's degree)
     whose closed record is the closed signature.  Every clone is the
     intersection of the classes its record names (Böhler et al., "Playing
     with Boolean blocks I", 2003), so exactly one clone has it."""
-    closed = _close_constraints(signature_of(fns))
-    candidates = [CloneId(family) for family in NONPARAMETRIC_FAMILIES]
+    return _clone_of(signature_of(fns))
+
+
+@cache
+def _clone_of(signature: CloneRecord) -> CloneId:
+    """`identify_clone` for a signature, resolved once per signature: the
+    non-parametric families are looked up in `_named_by_record`, and the
+    parametric ones are named only at a finite degree of the signature."""
+    closed = _close_constraints(signature)
+    named = _named_by_record().get(closed)
+    candidates = [] if named is None else [named]
     for family in PARAMETRIC_FAMILIES:
         degree = closed.s0 if family.startswith("S0") else closed.s1
         if 2 <= degree < INFINITE:

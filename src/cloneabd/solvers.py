@@ -35,6 +35,7 @@ at the all-zeros point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -652,6 +653,14 @@ ROUTES: dict[str, Route] = {
 _UNCHECKED = ("general", "oracle")
 
 
+@cache
+def _applies(clone: CloneId, variant: str) -> dict[str, bool]:
+    """Route name -> whether its `applies` holds for the clone and variant,
+    in `ROUTES` order: a pure function of the two, read once per pair."""
+    return {name: entry.applies(clone, variant)
+            for name, entry in ROUTES.items()}
+
+
 def route_of(inst: AbductionInstance, route: str | None = None) -> str:
     """The one place that resolves a route: with no name, the first entry
     whose `applies` holds; a named route is returned once its `applies`
@@ -660,10 +669,10 @@ def route_of(inst: AbductionInstance, route: str | None = None) -> str:
     if route in _UNCHECKED:
         return route
     clone = identify_clone(inst.fns)
+    applies = _applies(clone, inst.variant)
     if route is None:
-        return next(name for name, entry in ROUTES.items()
-                    if entry.applies(clone, inst.variant))
-    if not ROUTES[route].applies(clone, inst.variant):
+        return next(name for name, ok in applies.items() if ok)
+    if not applies[route]:
         raise CloneMismatchError(
             f"route {route!r} does not decide clone {clone.name} with "
             f"variant {inst.variant}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -189,8 +190,16 @@ def function_properties(f: TruthTable) -> frozenset[str]:
     e       a conjunction of a variable subset, or a constant
     n       essentially unary (depends on at most one argument)
     i       a projection or a constant
+
+    Computed once per table, whatever its name.
     """
-    n = f.arity
+    return _properties(f.arity, f.bits)
+
+
+@cache
+def _properties(arity: int, bits: tuple[int, ...]) -> frozenset[str]:
+    f = TruthTable("f", arity, bits)
+    n = arity
     size = 1 << n
     dual = dual_fn(f)
     essential = essential_positions(f)
@@ -215,10 +224,15 @@ def separating_degree(f: TruthTable, c: int) -> float:
     """Largest k >= 2 such that every size-k subset of f^{-1}(c) shares a
     coordinate fixed to c; INFINITE when the whole preimage does (the fully
     c-separating case, vacuously including an empty preimage); 1 when even
-    size-2 subsets fail.
+    size-2 subsets fail.  Computed once per table, whatever its name.
     """
-    pre = f.preimage(c)
-    n = f.arity
+    return _separating_degree(f.arity, f.bits, c)
+
+
+@cache
+def _separating_degree(arity: int, bits: tuple[int, ...], c: int) -> float:
+    pre = TruthTable("f", arity, bits).preimage(c)
+    n = arity
 
     def common_coordinate(rows: Sequence[tuple[int, ...]]) -> bool:
         return any(all(r[i] == c for r in rows) for i in range(n)) or not rows

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cloneabd import formula
 from cloneabd.errors import InputError
 from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               encode_cnf, eval_formula, formula_depth,
@@ -15,6 +16,7 @@ from cloneabd.sat import sat_solve
 from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet,
                                  TruthTable, row_assignment)
 
+from conftest import OR_AND, Deadline
 from test_acceptance import SOLVER_BASES
 from test_sat import brute_least_model
 
@@ -39,6 +41,57 @@ def test_parse_arity_mismatch():
 def test_parse_unknown_connective():
     with pytest.raises(InputError):
         parse_formula("(nand x y)", FNS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "position 0: unexpected end of input"),
+    ("   ", "position 3: unexpected end of input"),
+    ("(and x", "position 6: missing ')'"),
+    ("(and x (not y)", "position 14: missing ')'"),
+    # a '(' at the end of the input, or followed by a parenthesis
+    ("(", "position 0: expected connective name"),
+    ("( ", "position 0: expected connective name"),
+    ("((and x y) z)", "position 1: expected connective name"),
+    ("( )", "position 2: expected connective name"),
+    ("(nand x y)", "position 1: unknown connective 'nand'"),
+    ("(and x 9y)", "position 7: bad variable name '9y'"),
+    ("(and x y!)", "position 7: bad variable name 'y!'"),
+    ("(and x)", "position 0: connective 'and' expects 2 arguments, got 1"),
+    ("(not x y)", "position 0: connective 'not' expects 1 arguments, got 2"),
+    ("(and x (or y))",
+     "position 7: connective 'or' expects 2 arguments, got 1"),
+    (")", "position 0: unexpected ')'"),
+    ("x )", "position 2: trailing input"),
+    ("(and x y) (or x y)", "position 10: trailing input"),
+    # tokens split at every character that `str.isspace` accepts
+    ("\t\n (nand x y)", "position 4: unknown connective 'nand'"),
+    ("x\x1cy", "position 2: trailing input"),
+    ("x\xa0y", "position 2: trailing input"),
+    # a zero-width space is not whitespace, so it stays inside its token
+    ("(and x\u200by)", "position 5: bad variable name 'x\\u200by'"),
+])
+def test_parse_error_names_its_position(text, message):
+    with pytest.raises(InputError) as err:
+        parse_formula(text, FNS)
+    assert str(err.value) == f"parse error at {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "(and\tx\ny)", "(and x\x1cy)", "\r\n(and\fx\vy)\x1c", "(and\x85x\u3000y)"])
+def test_parse_splits_tokens_at_any_whitespace(text):
+    assert render_formula(parse_formula(text, FNS)) == "(and x y)"
+
+
+def test_tokenizer_runs_in_linear_time():
+    # 64 000 leaves render to about 757 kB; re-slicing the rest of the text
+    # per token took seconds here
+    text = render_formula(balanced_tree(
+        OR, [Var(f"x{i}") for i in range(64000)]))
+    deadline = Deadline(1)
+    phi = parse_formula(text, FNS)
+    deadline.check("parse of a 64 000-leaf formula")
+    assert formula_size(phi) == 2 * 64000 - 1
+    assert render_formula(phi) == text
 
 
 def test_eval_formula():
@@ -119,6 +172,29 @@ def test_balanced_tree_xor3_arity():
     phi = balanced_tree(XOR3, leaves)
     sigma = {u: 1 for u in "abcde"}
     assert eval_formula(phi, sigma) == 1  # five ones xor to 1
+
+
+@pytest.mark.parametrize("op, message", [
+    (TruthTable("nand", 2, (1, 1, 1, 0)),
+     "connective 'nand' is not associative"),
+    (MAJ3, "connective 'maj3' does not regroup associatively"),
+    (OR_AND, "connective 'or_and' does not regroup associatively"),
+    (NOT, "balanced trees support arity 2 or 3, not 1 ('not')"),
+])
+def test_balanced_tree_refuses_a_connective_that_does_not_regroup(op,
+                                                                   message):
+    for _ in range(2):  # the second time from the once-decided table
+        with pytest.raises(InputError) as err:
+            balanced_tree(op, [Var(v) for v in "abc"])
+        assert str(err.value) == message
+
+
+def test_balanced_tree_decides_associativity_once_per_table():
+    formula._regroups.cache_clear()
+    leaves = [Var(v) for v in "abcde"]
+    for i in range(100):
+        balanced_tree(OR.renamed(f"or{i % 3}"), leaves)
+    assert formula._regroups.cache_info().misses == 1
 
 
 def test_substitute_map_no_recursion_into_args():

@@ -12,6 +12,7 @@ from cloneabd.cli import main
 from cloneabd.errors import (AbdError, NoRepresentationError,
                              ResourceBudgetError, UnsupportedError)
 from cloneabd.formula import render_formula, table_of
+from cloneabd import lattice
 from cloneabd.lattice import (CloneId, all_clone_ids, base_of,
                               classify_counting, classify_decision,
                               clone_leq, function_in_clone, h_fn,
@@ -83,6 +84,42 @@ def test_identify_gives_the_least_clone_containing_the_set():
         for c in clones:
             assert set_in_clone(fns, c) == clone_leq(least, c), \
                 ([f.bits for f in fs], least.name, c.name)
+
+
+def _identify_by_scan(fns):
+    """The candidate scan that `identify_clone` replaced: every named clone,
+    parametric families at the signature's degree, and exactly one of them
+    whose closed record is the closed signature."""
+    closed = lattice._close_constraints(signature_of(fns))
+    candidates = [CloneId(family)
+                  for family in lattice.NONPARAMETRIC_FAMILIES]
+    for family in lattice.PARAMETRIC_FAMILIES:
+        degree = closed.s0 if family.startswith("S0") else closed.s1
+        if 2 <= degree < float("inf"):
+            candidates.append(CloneId(family, int(degree)))
+    (clone,) = [c for c in candidates if lattice.closed_record(c) == closed]
+    return clone
+
+
+def test_identify_clone_matches_the_candidate_scan():
+    tables = [TruthTable(f"f{len(bits)}", k, bits) for k in range(4)
+              for bits in itertools.product((0, 1), repeat=1 << k)]
+    assert len(tables) == 278
+    rng = random.Random(29)
+    sets = [FunctionSet([f]) for f in tables]
+    sets += [FunctionSet([f, g.renamed("g")]) for f, g in
+             (rng.sample(tables, 2) for _ in range(200))]
+    sets += [base_of(c) for c in all_clone_ids((2, 3, 4))]
+    seen = set()
+    for fns in sets:
+        clone = identify_clone(fns)
+        assert clone == _identify_by_scan(fns), fns
+        seen.add(clone)
+    # every family is reached, and the parametric ones at degrees 2-4
+    assert seen >= set(all_clone_ids((2, 3, 4)))
+    # the table the lookup reads names each non-parametric family once
+    assert sorted(c.family for c in lattice._named_by_record().values()) \
+        == sorted(lattice.NONPARAMETRIC_FAMILIES)
 
 
 def test_base_of_examples():

@@ -114,6 +114,23 @@ def test_function_properties_match_definitions():
         assert function_properties(f) == _properties_by_definition(f), f
 
 
+def test_properties_depend_on_the_table_only():
+    # computed once per table: a renamed table, asked first or second,
+    # gets the same classes and degrees as the one it was renamed from
+    for n in range(4):
+        for bits in product((0, 1), repeat=1 << n):
+            f, g = TruthTable("f", n, bits), TruthTable("g", n, bits)
+            for first, second in ((f, g), (g, f)):
+                assert function_properties(first) == \
+                    function_properties(second)
+                for c in (0, 1):
+                    assert separating_degree(first, c) == \
+                        separating_degree(second, c)
+    assert function_properties(MAJ3.renamed("m3")) == \
+        function_properties(MAJ3) == {"r0", "r1", "m", "d"}
+    assert separating_degree(MAJ3.renamed("m3"), 1) == 2
+
+
 def test_separating_degree_basics():
     # AND: f^-1(1) = {11} shares every coordinate fixed to 1
     assert separating_degree(AND, 1) == float("inf")
