@@ -188,7 +188,8 @@ class ExplanationTest:
     solver is built over it.  Consistency is one `sat_solve` call with the
     literals as assumption ids; entailment is refuted by one call per list
     of negation assumptions added to them: the negated literals (Q, C), one
-    negated literal per list (T), or psi's negated root (F).  `kb_sat_ids`
+    negated literal per list (T), or psi's negated root literal (F; the
+    root itself may be a negative literal).  `kb_sat_ids`
     and `entails_ids` take the ids directly.  `fresh` builds a new solver
     over the same clauses."""
 

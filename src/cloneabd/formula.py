@@ -1,6 +1,7 @@
 """Formula ASTs over a declared connective set: parsing, printing,
 evaluation, substitution, balanced-tree rewriting, connective replacement and
-CNF gate encoding (each gate by the prime implicates of its table).
+CNF gate encoding (each gate by the prime implicates of its table; negation
+as literal polarity, and asserted roots without a gate variable).
 
 Concrete syntax is s-expressions: ``formula := var | '0' | '1' |
 '(' fname formula+ ')'``.  Variables match ``[a-zA-Z_][a-zA-Z0-9_']*``.
@@ -319,6 +320,10 @@ def replace_connectives(phi: Formula,
 # ---------------------------------------------------------------------------
 # CNF gate encoding
 
+# the literal tables, identity and negation, and the polarity of each
+_POLARITY = {(0, 1): 1, (1, 0): -1}
+
+
 @dataclass
 class CnfEncoding:
     clauses: list[list[int]]
@@ -340,7 +345,8 @@ class CnfEncoding:
 
     def gate(self, phi: Formula) -> int:
         """Appends the definitions of phi's gates and returns a CNF literal
-        equivalent to phi; nothing asserts it."""
+        equivalent to phi; nothing asserts it.  Identity and negation fold
+        into their child's literal."""
         if isinstance(phi, Var):
             return self.lit(Literal(phi.name, True))
         if isinstance(phi, Const):
@@ -350,26 +356,52 @@ class CnfEncoding:
         lits = []
         for a in phi.args:  # a plain loop, as in `formula_mask`
             lits.append(self.gate(a))
+        if phi.fn.bits in _POLARITY:
+            return _POLARITY[phi.fn.bits] * lits[0]
         g = self.new_var()
         lits.append(g)
-        for clause in gate_implicates(phi.fn.arity, phi.fn.bits):
+        self.emit(gate_implicates(phi.fn.arity, phi.fn.bits), lits)
+        return g
+
+    def assert_formula(self, phi: Formula) -> None:
+        """Appends clauses that hold exactly where phi does; a root
+        connective's gate is fixed to the root's polarity."""
+        sign = 1
+        while isinstance(phi, App) and phi.fn.bits in _POLARITY:
+            sign, phi = sign * _POLARITY[phi.fn.bits], phi.args[0]
+        if isinstance(phi, App) and phi.args:
+            self.emit(gate_implicates(phi.fn.arity, phi.fn.bits, sign),
+                      [self.gate(a) for a in phi.args])
+        else:
+            self.clauses.append([sign * self.gate(phi)])
+
+    def emit(self, clauses: Iterable[Sequence[int]],
+             lits: Sequence[int]) -> None:
+        """Appends position clauses, position j+1 read as lits[j]."""
+        for clause in clauses:
             self.clauses.append([lits[e - 1] if e > 0 else -lits[-e - 1]
                                  for e in clause])
-        return g
 
 
 @cache
-def gate_implicates(arity: int,
-                    bits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def gate_implicates(arity: int, bits: tuple[int, ...],
+                    sign: int = 0) -> tuple[tuple[int, ...], ...]:
     """The prime implicates of g <-> f(c1..ck) for the table `bits`, as
     clauses over positions: literal +-(j+1) is child j for j < k and +-(k+1)
     is the gate g.  Shortest clauses first, then in enumeration order.
+    With sign 1 or -1, g is fixed true or false: the clauses g satisfies
+    are dropped, and g leaves the rest.
 
     Points are the 2^(k+1) assignments with g least significant, so
     `projection_mask` gives each position's points.  A clause is an
     implicate iff its falsifying cube holds no model, and prime iff freeing
     any one fixed position of that cube lets a model in.
     """
+    if sign:
+        g = (arity + 1) * sign
+        return tuple(tuple(e for e in clause if e != -g)
+                     for clause in gate_implicates(arity, bits)
+                     if g not in clause)
     width = arity + 1
     models = sum(1 << (2 * row + out) for row, out in enumerate(bits))
     every = (1 << (1 << width)) - 1
@@ -402,21 +434,23 @@ def encode_cnf(formulas: Iterable[Formula],
     """Tseitin-style gate encoding of a conjunction of formulas plus
     assumption literals.
 
-    One fresh variable per internal node; per gate, the prime implicates of
+    One fresh variable per internal node other than identity and negation,
+    which flip their child's polarity; per gate, the prime implicates of
     g <-> f(children) (`gate_implicates`), so unit propagation derives a
-    child wherever the table forces one.  Each gate's clauses are a full
-    equivalence, so satisfying assignments project bijectively onto the
-    original variables.  Extra ``variables`` are allocated even when they
-    do not occur, so projections and model counts range over them too.
-    The gates of the ``define`` formulas follow those of ``formulas``
-    without being asserted; ``roots`` holds their literals, which a caller
-    may pass as assumptions.
+    child wherever the table forces one.  An asserted root's gate is fixed
+    to its polarity instead (Plaisted & Greenbaum, 1986).  Inner gates stay
+    full equivalences, so satisfying assignments project bijectively onto
+    the original variables.  Extra ``variables`` are allocated even when
+    they do not occur, so projections and model counts range over them
+    too.  The gates of the ``define`` formulas follow without being
+    asserted; ``roots`` holds their literals, negative where a root folds a
+    negation, which a caller may pass as assumptions.
     """
     enc = CnfEncoding([], {}, 0)
     for v in sorted(set(variables)):
         enc.lit(Literal(v, True))
     for phi in formulas:
-        enc.clauses.append([enc.gate(phi)])
+        enc.assert_formula(phi)
     enc.roots = [enc.gate(phi) for phi in define]
     for lit in assumptions:
         enc.clauses.append([enc.lit(lit)])

@@ -1,11 +1,15 @@
 """Formula parsing, evaluation, template substitution and CNF encoding."""
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloneabd import formula
+from cloneabd.cli import main
 from cloneabd.errors import InputError
 from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               encode_cnf, eval_formula, formula_depth,
@@ -13,8 +17,8 @@ from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               parse_formula, parse_literal, render_formula,
                               replace_connectives, substitute_map, table_of)
 from cloneabd.sat import sat_solve
-from cloneabd.truthtable import (AND, MAJ3, NOT, OR, XOR, XOR3, FunctionSet,
-                                 TruthTable, row_assignment)
+from cloneabd.truthtable import (AND, IDENTITY, MAJ3, NOT, OR, XOR, XOR3,
+                                 FunctionSet, TruthTable, row_assignment)
 
 from conftest import OR_AND, Deadline
 from test_acceptance import SOLVER_BASES
@@ -234,31 +238,53 @@ def test_encode_cnf_models_match_truth_table():
 
 
 def test_encode_cnf_defines_without_asserting():
-    """A defined formula's gates follow the asserted ones and its root is
-    left free: it holds under an assumption exactly where phi holds."""
-    phi = parse_formula("(maj3 x y (not z))", FNS)
-    asserted = encode_cnf([phi], variables=["x", "y", "z"])
-    enc = encode_cnf([], variables=["x", "y", "z"], define=[phi])
-    assert enc.clauses == asserted.clauses[:-1]
-    assert enc.roots == asserted.clauses[-1]
-    root = enc.roots[0]
-    for bits in itertools.product((0, 1), repeat=3):
-        point = dict(zip("xyz", bits))
-        assumptions = [enc.var_of[v] if b else -enc.var_of[v]
-                       for v, b in point.items()]
-        for g in (root, -root):
-            res = sat_solve(enc.clauses, enc.num_vars,
-                            assumptions=assumptions + [g])
-            assert res.is_sat == (eval_formula(phi, point) == (g > 0))
+    """A defined formula keeps its root gate, left free and negative where
+    the root is a negation: the root literal holds under an assumption
+    exactly where phi holds.  Asserted, the root has no gate variable."""
+    for text, want_root in (("(maj3 x y (not z))", 4),
+                            ("(not (maj3 x y (not z)))", -4)):
+        phi = parse_formula(text, FNS)
+        asserted = encode_cnf([phi], variables=["x", "y", "z"])
+        assert asserted.num_vars == 3 and asserted.roots == []
+        enc = encode_cnf([], variables=["x", "y", "z"], define=[phi])
+        assert enc.num_vars == 4 and len(enc.clauses) == 6
+        root = enc.roots[0]
+        assert root == want_root
+        for bits in itertools.product((0, 1), repeat=3):
+            point = dict(zip("xyz", bits))
+            assumptions = [enc.var_of[v] if b else -enc.var_of[v]
+                           for v, b in point.items()]
+            for g in (root, -root):
+                res = sat_solve(enc.clauses, enc.num_vars,
+                                assumptions=assumptions + [g])
+                assert res.is_sat == (eval_formula(phi, point) == (g == root))
+            res = sat_solve(asserted.clauses, asserted.num_vars,
+                            assumptions=assumptions)
+            assert res.is_sat == bool(eval_formula(phi, point))
+
 
 def check_gate_clauses(fn):
-    """The clauses `encode_cnf` emits for one gate over fresh variables
-    have exactly the models of g <-> f, and each of them is prime."""
+    """The clauses `encode_cnf` emits to define one gate over fresh
+    variables have exactly the models of g <-> f, and each of them is
+    prime; a literal table (identity, negation) has no gate and defines +-x1.
+    Asserted, the gate's clauses hold exactly where f does."""
     k = fn.arity
     names = [f"x{j + 1}" for j in range(k)]
-    enc = encode_cnf([App(fn, tuple(map(Var, names)))], variables=names)
-    assert enc.clauses[-1] == [k + 1]  # variables 1..k, then the gate
-    clauses = enc.clauses[:-1]
+    phi = App(fn, tuple(map(Var, names)))
+    asserted = encode_cnf([phi], variables=names)
+    for point in itertools.product((False, True), repeat=k):
+        res = sat_solve(asserted.clauses, asserted.num_vars,
+                        assumptions=[j + 1 if b else -j - 1
+                                     for j, b in enumerate(point)])
+        assert res.is_sat == bool(fn(*point)), (fn.bits, point)
+    enc = encode_cnf([], variables=names, define=[phi])
+    if fn.bits in ((0, 1), (1, 0)):
+        assert enc.roots == [1 if fn.bits[1] else -1]
+        assert (enc.clauses, enc.num_vars, asserted.num_vars) == ([], 1, 1)
+        return
+    assert enc.roots == [k + 1]  # variables 1..k, then the gate
+    assert asserted.num_vars == max(k, 1)  # an arity-0 root keeps its gate
+    clauses = enc.clauses
 
     def holds(clause, point):
         return any(point[abs(l) - 1] == (l > 0) for l in clause)
@@ -290,18 +316,44 @@ def test_gate_clauses_are_prime_implicates_of_every_small_table():
 
 
 def test_gate_clauses_of_and_and_maj3():
-    assert encode_cnf([parse_formula("(and x y)", FNS)]).clauses == [
-        [2, -3], [1, -3], [-1, -2, 3], [3]]
-    maj3 = encode_cnf([parse_formula("(maj3 x y z)", FNS)]).clauses[:-1]
+    def defined(text):
+        enc = encode_cnf([], define=[parse_formula(text, FNS)])
+        return enc.clauses, enc.roots
+
+    def asserted(text):
+        return encode_cnf([parse_formula(text, FNS)]).clauses
+
+    assert defined("(and x y)") == ([[2, -3], [1, -3], [-1, -2, 3]], [3])
+    assert defined("(not (and x y))") == ([[2, -3], [1, -3], [-1, -2, 3]],
+                                          [-3])
+    # an asserted root drops the clauses its gate satisfies, and the gate
+    assert asserted("(and x y)") == [[2], [1]]
+    assert asserted("(not (not (and x y)))") == [[2], [1]]
+    assert asserted("(not (and x y))") == [[-1, -2]]
+    maj3, roots = defined("(maj3 x y z)")
     assert len(maj3) == 6 and all(len(c) == 3 for c in maj3)
+    assert roots == [4]
+    assert asserted("(maj3 x y z)") == [[2, 3], [1, 3], [1, 2]]
+    assert asserted("(not (maj3 x y z))") == [[-2, -3], [-1, -3], [-1, -2]]
 
 
 def row_encoding(formulas, variables):
     """The row encoding: one clause per table row of each gate, numbered
-    as `encode_cnf` numbers its variables."""
+    as `encode_cnf` numbers its variables.  Identity and negation fold into
+    their child's literal, and an asserted root connective keeps only the
+    rows whose value contradicts it, without a gate."""
     var_of = {v: i + 1 for i, v in enumerate(sorted(variables))}
     clauses = []
     count = len(var_of)
+
+    def rows(fn, child, head):
+        # head(out): the literals a row's clause ends with, None to drop it
+        for row, out in enumerate(fn.bits):
+            if head(out) is not None:
+                clauses.append(
+                    [-c if a else c
+                     for c, a in zip(child, row_assignment(row, fn.arity))]
+                    + head(out))
 
     def gate(phi):
         nonlocal count
@@ -311,19 +363,27 @@ def row_encoding(formulas, variables):
                 var_of[phi.name] = count
             return var_of[phi.name]
         child = [gate(a) for a in phi.args] if isinstance(phi, App) else []
+        if isinstance(phi, App) and phi.fn.bits in ((0, 1), (1, 0)):
+            return child[0] if phi.fn.bits[1] else -child[0]
         count += 1
         if isinstance(phi, Const):
             clauses.append([count if phi.value else -count])
             return count
-        for row, out in enumerate(phi.fn.bits):
-            clauses.append(
-                [-c if a else c
-                 for c, a in zip(child, row_assignment(row, phi.fn.arity))]
-                + [count if out else -count])
-        return count
+        g = count
+        rows(phi.fn, child, lambda out: [g if out else -g])
+        return g
 
     for phi in formulas:
-        clauses.append([gate(phi)])
+        sign = 1
+        while isinstance(phi, App) and phi.fn.bits in ((0, 1), (1, 0)):
+            sign = sign if phi.fn.bits[1] else -sign
+            phi = phi.args[0]
+        if isinstance(phi, App) and phi.args:
+            # the fixed root satisfies the rows whose value matches sign
+            rows(phi.fn, [gate(a) for a in phi.args],
+                 lambda out: None if (out == 1) == (sign == 1) else [])
+        else:
+            clauses.append([sign * gate(phi)])
     return clauses, var_of, count
 
 
@@ -363,6 +423,92 @@ def test_encode_cnf_with_assumptions():
     assert res.is_sat
     # x false forces y
     assert res.model[enc.var_of["y"]]
+
+
+def check_encoding_matches_eval(kb, psi, names):
+    """Under every full assignment, the asserted `kb` is satisfiable
+    exactly where each formula holds, and the root literal of the defined
+    `psi` (or its negation) exactly where psi holds (or fails)."""
+    asserted = encode_cnf(kb, variables=names)
+    defined = encode_cnf([], variables=names, define=[psi])
+    root = defined.roots[0]
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        point = dict(zip(names, bits))
+        assumed = [j + 1 if b else -j - 1 for j, b in enumerate(bits)]
+        holds = all(eval_formula(phi, point) for phi in kb)
+        assert sat_solve(asserted.clauses, asserted.num_vars,
+                         assumptions=assumed).is_sat == holds, point
+        value = eval_formula(psi, point)
+        for g in (root, -root):
+            res = sat_solve(defined.clauses, defined.num_vars,
+                            assumptions=assumed + [g])
+            assert res.is_sat == (value == (g == root)), (point, g)
+    return root
+
+
+@pytest.mark.parametrize("text", ["(and x (not x))",
+                                  "(not (and x (not x)))",
+                                  "(maj3 x (not x) y)",
+                                  "(xor x (not (id x)))"])
+def test_folded_literals_that_collide(text):
+    """Folding puts x and -x into one gate's clauses, which the encoding
+    with a gate per negation never did: tautologies and repeated
+    literals, asserted and defined."""
+    phi = parse_formula(text, FunctionSet([AND, NOT, MAJ3, XOR, IDENTITY]))
+    negative = text.startswith("(not")
+    for f, root_negative in ((phi, negative), (App(NOT, (phi,)), not negative)):
+        root = check_encoding_matches_eval([f], f, ["x", "y"])
+        assert (root < 0) == root_negative
+
+
+def _tables(arity):
+    return st.lists(st.integers(0, 1), min_size=1 << arity,
+                    max_size=1 << arity).map(
+        lambda bits: TruthTable(f"f{arity}", arity, tuple(bits)))
+
+
+_FORMULAS = st.recursive(
+    st.one_of(st.sampled_from("xyz").map(Var),
+              st.integers(0, 1).map(Const)),
+    lambda children: st.integers(0, 3).flatmap(
+        lambda k: st.builds(lambda fn, args: App(fn, tuple(args)),
+                            _tables(k),
+                            st.lists(children, min_size=k, max_size=k))),
+    max_leaves=8)
+
+
+@settings(derandomize=True, database=None, max_examples=150,
+          deadline=None)
+@given(st.lists(_FORMULAS, min_size=1, max_size=2), _FORMULAS)
+def test_encoding_matches_eval_on_random_tables(kb, psi):
+    # random tables of arity 0-3; arity 1 covers identity, negation and
+    # both constants
+    check_encoding_matches_eval(kb, psi, ["x", "y", "z"])
+
+
+def test_deep_negation_chains_encode_without_gates(tmp_path, capsys):
+    """A 400-deep (not ...) chain folds into one literal: as a KB formula
+    around (not (and a (not c))) it asserts a -> c with no gate variable,
+    and as a manifestation around c its root literal is c or -c."""
+    fns = FunctionSet([AND, NOT])
+    kb = "(not (and a (not c)))"
+    for _ in range(400):
+        kb = f"(not {kb})"
+    for depth, answer, code in ((400, "a", 0), (401, None, 1)):
+        psi = "c"
+        for _ in range(depth):
+            psi = f"(not {psi})"
+        enc = encode_cnf([parse_formula(kb, fns)], variables=["a", "c"],
+                         define=[parse_formula(psi, fns)])
+        assert (enc.clauses, enc.num_vars) == ([[-1, 2]], 2)
+        assert enc.roots == [2 if depth % 2 == 0 else -2]
+        path = tmp_path / f"deep{depth}.txt"
+        path.write_text(f"fn and 2 0001\nfn not 1 10\nkb {kb}\n"
+                        f"hyp a\nqformula {psi}\n")
+        assert main(["solve", str(path), "--json"]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert (out["method"], out["explanation"]) == ("general-scan",
+                                                       answer)
 
 
 def test_const_nodes_evaluate():
