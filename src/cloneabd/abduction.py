@@ -12,7 +12,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
 from .formula import (VAR_RE, App, Const, Formula, Literal, Var,
@@ -51,6 +51,33 @@ class AbductionInstance:
         if self.variant == "Q":
             return (self.manifestation,)
         return tuple(self.manifestation)
+
+    @property
+    def manifestation_clauses(self) -> tuple[tuple[Literal, ...], ...]:
+        """The manifestation as a CNF (variants Q, C and T): one clause for
+        Q and C, one unit clause per literal for T.  Gamma and E entail it
+        iff they contradict the negation of every clause, so a clause that
+        holds both polarities of a variable, which everything entails, is
+        left out."""
+        lits = self.manifestation_literals
+        clauses = ((l,) for l in lits) if self.variant == "T" else (lits,)
+        return tuple(c for c in clauses
+                     if not {l.negated() for l in c} & set(c))
+
+    @property
+    def formulas(self) -> tuple[Formula, ...]:
+        """The knowledge base, followed by psi for variant F."""
+        if self.variant == "F":
+            return self.kb + (self.manifestation,)
+        return self.kb
+
+    def map_formulas(self, f: Callable[[Formula], Formula]
+                     ) -> "AbductionInstance":
+        """The instance with `f` applied to each of its `formulas`."""
+        mapped = tuple(map(f, self.formulas))
+        if self.variant == "F":
+            return replace(self, kb=mapped[:-1], manifestation=mapped[-1])
+        return replace(self, kb=mapped)
 
     @property
     def manifestation_vars(self) -> list[str]:
@@ -185,13 +212,12 @@ class ExplanationTest:
     `encode_cnf` runs once per instance, over Gamma and, for variant F, the
     gate definitions of the manifestation psi, which are not asserted; the
     encoding is kept as immutable tuples (`clauses`, `num_vars`).  One
-    solver is built over it.  Consistency is one `sat_solve` call with the
-    literals as assumption ids; entailment is refuted by one call per list
-    of negation assumptions added to them: the negated literals (Q, C), one
-    negated literal per list (T), or psi's negated root literal (F; the
-    root itself may be a negative literal).  `kb_sat_ids`
-    and `entails_ids` take the ids directly.  `fresh` builds a new solver
-    over the same clauses."""
+    solver is built over it.  Both questions take assumption ids (see
+    `assumption_ids`).  Consistency is one `sat_solve` call; entailment is
+    refuted by one call per list of negation assumptions added to them: the
+    negated literals of each of the manifestation's clauses (Q, C and T), or
+    psi's negated root literal (F; the root itself may be a negative
+    literal).  `fresh` builds a new solver over the same clauses."""
 
     def __init__(self, inst: AbductionInstance) -> None:
         psi = (inst.manifestation,) if inst.variant == "F" else ()
@@ -200,12 +226,10 @@ class ExplanationTest:
         self.clauses = tuple(map(tuple, enc.clauses))
         self.num_vars = enc.num_vars
         if inst.variant == "F":
-            negated = [-enc.roots[0]]
+            self._negations = [[-enc.roots[0]]]
         else:
-            negated = [-l for l in
-                       self.assumption_ids(inst.manifestation_literals)]
-        self._negations = ([[n] for n in negated] if inst.variant == "T"
-                           else [negated])
+            self._negations = [[-v for v in self.assumption_ids(c)]
+                               for c in inst.manifestation_clauses]
         self._kb = Solver(self.clauses, self.num_vars)
 
     def fresh(self) -> "ExplanationTest":
@@ -226,18 +250,12 @@ class ExplanationTest:
             out.append(v if l.positive else -v)
         return out
 
-    def kb_sat(self, literals: Iterable[Literal]) -> bool:
-        """Gamma + literals is satisfiable."""
-        return self.kb_sat_ids(self.assumption_ids(literals))
-
-    def entails(self, literals: Iterable[Literal]) -> bool:
-        """Gamma + literals |= psi, by refutation."""
-        return self.entails_ids(self.assumption_ids(literals))
-
-    def kb_sat_ids(self, assumed: list[int]) -> bool:
+    def kb_sat(self, assumed: list[int]) -> bool:
+        """Gamma + the assumed literals is satisfiable."""
         return sat_solve(self._kb, assumptions=assumed).is_sat
 
-    def entails_ids(self, assumed: list[int]) -> bool:
+    def entails(self, assumed: list[int]) -> bool:
+        """Gamma + the assumed literals |= psi, by refutation."""
         return not any(sat_solve(self._kb, assumptions=assumed + n).is_sat
                        for n in self._negations)
 
@@ -247,7 +265,7 @@ def entails_manifestation(inst: AbductionInstance,
                           test: ExplanationTest | None = None) -> bool:
     """Gamma + assumptions |= psi, on `test` (a fresh one when None)."""
     test = test if test is not None else ExplanationTest(inst)
-    return test.entails(assumptions)
+    return test.entails(test.assumption_ids(assumptions))
 
 
 def is_explanation(inst: AbductionInstance, e: Explanation,
@@ -256,7 +274,7 @@ def is_explanation(inst: AbductionInstance, e: Explanation,
     decided on `test` (a fresh one when None)."""
     _check_candidate(inst, e)
     test = test if test is not None else ExplanationTest(inst)
-    return (test.kb_sat(e.literals)
+    return (test.kb_sat(test.assumption_ids(e.literals))
             and entails_manifestation(inst, e.literals, test))
 
 
@@ -316,7 +334,7 @@ def explanation_hits(inst: AbductionInstance, budget: int | None,
             raise ResourceBudgetError(
                 f"{scan} scan budget {budget} candidates exceeded")
         assumed = [v if index & bit else -v for bit, v in bits]
-        if test.kb_sat_ids(assumed) and test.entails_ids(assumed):
+        if test.kb_sat(assumed) and test.entails(assumed):
             yield index, candidate_explanation(hyp, index)
 
 
@@ -377,18 +395,11 @@ def eliminate_true(inst: AbductionInstance) -> AbductionInstance:
     """Replace every occurrence of the constant 1 by a fresh variable forced
     true by a unit formula.  Parsimonious: full-explanation sets are
     unchanged.  Instances without the constant are returned as-is."""
-    targets = list(inst.kb)
-    if inst.variant == "F":
-        targets.append(inst.manifestation)
-    if not any(_contains_const(phi, 1) for phi in targets):
+    if not any(_contains_const(phi, 1) for phi in inst.formulas):
         return inst
-    t = fresh_variable(inst, "_t")
-    tvar = Var(t)
-    kb = tuple(_replace_const(phi, 1, tvar) for phi in inst.kb) + (tvar,)
-    manifestation = inst.manifestation
-    if inst.variant == "F":
-        manifestation = _replace_const(manifestation, 1, tvar)
-    return replace(inst, kb=kb, manifestation=manifestation)
+    tvar = Var(fresh_variable(inst, "_t"))
+    out = inst.map_formulas(lambda phi: _replace_const(phi, 1, tvar))
+    return replace(out, kb=out.kb + (tvar,))
 
 
 def eliminate_false(inst: AbductionInstance) -> AbductionInstance:

@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     e = Explanation.parse(args.explanation)
     test = ExplanationTest(inst)
     ok = is_explanation(inst, e, test)
-    satisfiable = test.kb_sat(e.literals)
+    satisfiable = test.kb_sat(test.assumption_ids(e.literals))
     entails = entails_manifestation(inst, e.literals, test)
     assert ok == (satisfiable and entails)
     payload = {"isExplanation": ok, "satisfiableWithE": satisfiable,

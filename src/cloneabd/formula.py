@@ -9,9 +9,7 @@ Concrete syntax is s-expressions: ``formula := var | '0' | '1' |
 
 from __future__ import annotations
 
-import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -179,18 +177,6 @@ def free_vars(phi: Formula | Iterable[Formula]) -> list[str]:
     return sorted(seen)
 
 
-def formula_size(phi: Formula) -> int:
-    if isinstance(phi, App):
-        return 1 + sum(formula_size(a) for a in phi.args)
-    return 1
-
-
-def formula_depth(phi: Formula) -> int:
-    if isinstance(phi, App):
-        return 1 + max((formula_depth(a) for a in phi.args), default=0)
-    return 0
-
-
 def formula_mask(phi: Formula, masks: Mapping[str, int], m: int) -> int:
     """The arity-m table (an int mask, row i in bit i) of a formula whose
     variables are given as arity-m tables: every row evaluated at once,
@@ -291,18 +277,9 @@ def replace_connectives(phi: Formula,
     """Rewrite every connective by its template formula (over x1..xk).
 
     Templates typically come from representation synthesis.  Callers should
-    balance chains first; a warning is emitted when the input depth exceeds
-    2*ceil(log2(size)) + 1, since template substitution then risks a large
-    size blow-up.
+    balance chains first, since template substitution multiplies the size
+    of a deep formula.
     """
-    size = formula_size(phi)
-    depth = formula_depth(phi)
-    if depth > 2 * math.ceil(math.log2(max(size, 2))) + 1:
-        warnings.warn(
-            f"replace_connectives: depth {depth} formula of size {size}; "
-            "balance the tree first to avoid size explosion",
-            stacklevel=2)
-
     def rewrite(f: Formula) -> Formula:
         if not isinstance(f, App):
             return f

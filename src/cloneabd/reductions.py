@@ -11,7 +11,7 @@ oracle at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .abduction import (AbductionInstance, eliminate_false, eliminate_true)
@@ -144,25 +144,16 @@ def compile_instance(inst: AbductionInstance, base: FunctionSet,
     ext = base.extended(*extra)
 
     helpers: dict[str, TruthTable] = {}
-    targets = list(inst.kb)
-    if inst.variant == "F":
-        targets.append(inst.manifestation)
-    for phi in targets:
+    for phi in inst.formulas:
         _collect_helpers(phi, helpers)
     repr_map = {name: synthesize_representation(ext, fn, budget)
                 for name, fn in sorted(helpers.items())}
 
-    kb = tuple(replace_connectives(phi, repr_map) for phi in inst.kb)
-    manifestation = inst.manifestation
-    if inst.variant == "F":
-        manifestation = replace_connectives(manifestation, repr_map)
-    out = AbductionInstance(ext, kb, inst.hypotheses, inst.variant,
-                            manifestation)
+    out = replace(inst.map_formulas(
+        lambda phi: replace_connectives(phi, repr_map)), fns=ext)
     if use_const0:
         out = eliminate_false(out)
-    out = eliminate_true(out)
-    return AbductionInstance(base, out.kb, out.hypotheses, out.variant,
-                             out.manifestation)
+    return replace(eliminate_true(out), fns=base)
 
 
 def _or_tree(operands: list[Formula]) -> Formula:

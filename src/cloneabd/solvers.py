@@ -98,21 +98,24 @@ def _flips(phi: Formula, base: int) -> tuple[int, list[str]]:
 _FALSE = "false"
 
 
-def _forced_literals(inst: AbductionInstance) -> dict[str, bool] | str:
-    """Forced-literal map of a knowledge base whose connectives are all
-    conjunctive (read at the all-ones point) or all essentially unary (read
-    at the all-zeros point); the string marker for an unsatisfiable one.
-    An empty map means the knowledge base is valid."""
-    classes = _classes(inst.kb)
+def _forced_literals(formulas: Sequence[Formula],
+                     subject: str = "knowledge base"
+                     ) -> dict[str, bool] | str:
+    """Forced-literal map of a conjunction of formulas whose connectives
+    are all conjunctive (read at the all-ones point) or all essentially
+    unary (read at the all-zeros point); the string marker for an
+    unsatisfiable one.  An empty map means the conjunction is valid.  The
+    refusal of other connectives names the `subject`."""
+    classes = _classes(formulas)
     if "e" in classes:
         base = 1
     elif "n" in classes:
         base = 0
     else:
         raise CloneMismatchError(
-            "knowledge base is neither conjunctive nor essentially unary")
+            f"{subject} is neither conjunctive nor essentially unary")
     forced: dict[str, bool] = {}
-    for phi in inst.kb:
+    for phi in formulas:
         value, flipped = _flips(phi, base)
         if not value and not flipped:
             return _FALSE  # the constant 0
@@ -131,34 +134,26 @@ def solve_literal_kb(inst: AbductionInstance,
                      ) -> SolveOutcome:
     """When the knowledge base is a conjunction of literals, the empty set
     explains the manifestation if anything does (hypotheses cannot mention
-    manifestation variables).  `forced` is the knowledge base's
-    `_forced_literals`, when the caller has read it already."""
+    manifestation variables), and it does iff every clause of the
+    manifestation holds a forced literal.  A formula psi (variant F) is
+    read the same way, as a cube: psi = 0 gives one empty clause and
+    psi = 1 none; psi over other connectives is refused.  No SAT call
+    decides; a found answer is re-checked by `is_explanation`.  `forced` is
+    the knowledge base's `_forced_literals`, when the caller has read it
+    already."""
     if forced is None:
-        forced = _forced_literals(inst)
-    if forced == _FALSE:
-        return SolveOutcome(False, None, "literal-KB")
-    assert isinstance(forced, dict)
-
-    def holds(lit: Literal) -> bool:
-        return forced.get(lit.var) == lit.positive
-
-    test = None
-    if inst.variant == "Q":
-        entailed = holds(inst.manifestation)
-    elif inst.variant == "C":
-        lits = inst.manifestation
-        tautological = len({l.var for l in lits}) < len(set(lits))
-        entailed = tautological or any(holds(l) for l in lits)
-    elif inst.variant == "T":
-        entailed = all(holds(l) for l in inst.manifestation)
+        forced = _forced_literals(inst.kb)
+    if inst.variant == "F":
+        cube = _forced_literals((inst.manifestation,), "manifestation")
+        clauses = ([()] if cube == _FALSE
+                   else [(Literal(v, p),) for v, p in cube.items()])
     else:
-        test = ExplanationTest(inst)
-        entailed = test.entails(())
-    if not entailed:
+        clauses = inst.manifestation_clauses
+    if forced == _FALSE or not all(
+            any(forced.get(l.var) == l.positive for l in c) for c in clauses):
         return SolveOutcome(False, None, "literal-KB")
     e = EMPTY_EXPLANATION
-    # for F, re-decided on a solver built afresh from the same clauses
-    assert is_explanation(inst, e, test.fresh() if test else None)
+    assert is_explanation(inst, e)
     return SolveOutcome(True, e, "literal-KB", certificate_checked=True)
 
 
@@ -167,7 +162,7 @@ def _literal_choices(inst: AbductionInstance
     """Per hypothesis, in order, the polarities a full explanation may give
     it: the forced one, or both; None when the instance has no explanation.
     The full explanations are exactly the products of these choices."""
-    forced = _forced_literals(inst)
+    forced = _forced_literals(inst.kb)
     if not solve_literal_kb(inst, forced).found:
         return None
     assert isinstance(forced, dict)
@@ -224,18 +219,17 @@ def _disjunctive_witness(
         raise CloneMismatchError(
             "disjunctive path handles literal and clause manifestations")
     clauses = _kb_clauses(inst)
-    mlits = inst.manifestation_literals
-    positive = {l.var for l in mlits if l.positive}
-    negative = {l.var for l in mlits if not l.positive}
-    if any(not c for c in clauses) or not positive:
+    positives = [{l.var for l in c if l.positive}
+                 for c in inst.manifestation_clauses]
+    if any(not c for c in clauses) or not all(positives):
         # an unsatisfiable KB, or a purely negative clause, which monotone
         # KBs never entail
         return lambda prefix: None
     hyps = set(inst.hypotheses)
-    candidates = [d - positive for d in sorted(set(clauses), key=sorted)
-                  if d - positive <= hyps]
-    if positive & negative:  # tautological clause: the prefix alone
-        candidates = [frozenset()]
+    candidates = [frozenset()]  # no clause to entail: the prefix alone
+    for positive in positives:  # the manifestation's one clause
+        candidates = [d - positive for d in sorted(set(clauses), key=sorted)
+                      if d - positive <= hyps]
 
     def witness(prefix: Sequence[Literal]) -> frozenset[str] | None:
         neg_prefix = frozenset(l.var for l in prefix if not l.positive)
@@ -292,9 +286,9 @@ def _walk(inst: AbductionInstance) -> list[Explanation]:
 class AffineSystem:
     """Equations over an ordered variable list; each row is a (column mask,
     right-hand bit) pair meaning XOR of the masked variables = bit.
-    `negation` holds the row groups of the negated manifestation:
-    explanations must avoid the projection of the system extended by EVERY
-    group separately for terms, and by the single group jointly otherwise."""
+    `negation` holds the row groups of the negated manifestation, one per
+    clause (the negated equation for variant F): explanations must avoid
+    the projection of the system extended by every group separately."""
 
     cols: tuple[str, ...]
     rows: tuple[tuple[int, int], ...]
@@ -369,10 +363,9 @@ def build_affine_system(inst: AbductionInstance) -> AffineSystem:
         eqvars, rhs = formula_equation(inst.manifestation)
         negation = ((row(eqvars, rhs ^ 1),),)
     else:
-        units = tuple(row([l.var], 0 if l.positive else 1)
-                      for l in inst.manifestation_literals)
-        negation = (tuple((u,) for u in units) if inst.variant == "T"
-                    else (units,))
+        negation = tuple(tuple(row([l.var], 0 if l.positive else 1)
+                               for l in c)
+                         for c in inst.manifestation_clauses)
     return AffineSystem(cols, rows, negation)
 
 
@@ -404,10 +397,10 @@ def _affine_cosets(inst: AbductionInstance, system: AffineSystem
                 if lead >= split and lead not in full]
 
     base = {lead: row for lead, row in full.items() if lead >= split}
-    if inst.variant == "T":
-        # each group adds one equation; within the base projection its
-        # projection is everything, nothing, or a hyperplane whose flipped
-        # form every explanation satisfies
+    if len(system.negation) != 1:
+        # none, or the unit groups of a term: each adds one equation, and
+        # within the base projection its projection is everything, nothing,
+        # or a hyperplane whose flipped form every explanation satisfies
         flipped = []
         for group in system.negation:
             extra = new_rows(group)
@@ -508,29 +501,22 @@ def _monotone_tables(inst: AbductionInstance, budget: int
                      ) -> Iterator[tuple[int, int]] | None:
     """(start, table) per block of candidates in canonical order, bit i set
     iff candidate start + i is a full explanation; None when the
-    manifestation rules out every candidate.  Within a block the last
-    hypotheses vary over the rows and the rest are fixed.  Every other
-    variable is true, which decides satisfiability of a monotone KB, and a
-    positive clause is entailed iff forcing its atoms false (for a term,
-    each atom) breaks the KB.  Like a scan that stops on reaching candidate
-    `budget`, bits from `budget` on are cleared and ResourceBudgetError
-    follows the last block if that candidate exists."""
+    manifestation rules out every candidate, which is when one of its
+    clauses has no positive atom: a satisfiable monotone KB extension never
+    entails such a clause.  Within a block the last hypotheses vary over
+    the rows and the rest are fixed.  Every other variable is true, which
+    decides satisfiability of a monotone KB, and a clause is entailed iff
+    forcing its positive atoms false breaks the KB.  Like a scan that stops
+    on reaching candidate `budget`, bits from `budget` on are cleared and
+    ResourceBudgetError follows the last block if that candidate exists."""
     if inst.variant == "F":
         raise CloneMismatchError(
             "monotone scan handles literal, clause and term manifestations")
-    mlits = inst.manifestation_literals
-    positive = [l.var for l in mlits if l.positive]
-    negative = [l.var for l in mlits if not l.positive]
-    tautological = inst.variant in ("Q", "C") and bool(
-        set(positive) & set(negative))
-    if inst.variant == "T" and negative:
-        # a satisfiable monotone KB extension never entails a negative literal
-        return None
-    if inst.variant in ("Q", "C") and not positive and not tautological:
-        return None
     # the atom sets whose forcing false must break the knowledge base
-    forced = ([] if tautological else [[v] for v in positive]
-              if inst.variant == "T" else [positive])
+    forced = [[l.var for l in c if l.positive]
+              for c in inst.manifestation_clauses]
+    if not all(forced):
+        return None
     hyp = inst.hypotheses
     m = min(len(hyp), _BLOCK_BITS)
     full = (1 << (1 << m)) - 1

@@ -249,10 +249,10 @@ def test_one_solver_answers_both_questions(fns):
                     for v, positive in zip(inst.hypotheses, signs)
                     if positive is not None))
                 assumed = test.assumption_ids(e.literals)
-                assert test.kb_sat_ids(assumed) == \
+                assert test.kb_sat(assumed) == \
                     sat_solve(gamma, assumptions=assumed).is_sat, \
                     (seed, variant, e)
-                assert test.entails_ids(assumed) == all(
+                assert test.entails(assumed) == all(
                     manifestation_holds(inst, sigma)
                     for sigma in kb_models(inst, e)), (seed, variant, e)
 

@@ -82,3 +82,31 @@ def test_identify_output_is_pinned(case, tmp_path, capsys):
         name, *flags = command.split()
         got = main([name, str(path), *flags])
         assert (got, capsys.readouterr().out) == (code, stdout), command
+
+
+# `cli_variant_golden.json` holds the exact exit code, stdout and stderr of
+# `solve`, `count` and `enumerate`, as text and with `--json`, under
+# `--method` auto, every named route (refusals included) and oracle, for
+# manifestations whose shape each route once decoded on its own:
+# tautological clauses (`c !c`, `c c !c`), complementary and repeated terms,
+# all-negative clauses and terms over AND, NOT, OR, XOR3, MAJ3 and AND+NOT,
+# and formulas that read as 0, 1, a cube or a negative literal over AND, NOT
+# and ID with constants.  It was captured before the manifestation was read
+# once, as clauses, and is matched with no adjustment.
+VARIANT_GOLDEN = json.loads(
+    (Path(__file__).parent / "cli_variant_golden.json").read_text())
+
+
+def _variant_case_id(case):
+    return f"{case['base']}-{case['instance'].splitlines()[-1]}"
+
+
+@pytest.mark.parametrize("case", VARIANT_GOLDEN, ids=_variant_case_id)
+def test_variant_output_is_pinned(case, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(case["instance"])
+    for command, expected in case["runs"].items():
+        name, *flags = command.split()
+        got = main([name, str(path), *flags])
+        out = capsys.readouterr()
+        assert [got, out.out, out.err] == expected, command

@@ -12,10 +12,10 @@ from cloneabd import formula
 from cloneabd.cli import main
 from cloneabd.errors import InputError
 from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
-                              encode_cnf, eval_formula, formula_depth,
-                              formula_mask, formula_size, free_vars,
-                              parse_formula, parse_literal, render_formula,
-                              replace_connectives, substitute_map, table_of)
+                              encode_cnf, eval_formula, formula_mask,
+                              free_vars, parse_formula, parse_literal,
+                              render_formula, replace_connectives,
+                              substitute_map, table_of)
 from cloneabd.sat import sat_solve
 from cloneabd.truthtable import (AND, IDENTITY, MAJ3, NOT, OR, XOR, XOR3,
                                  FunctionSet, TruthTable, row_assignment)
@@ -94,7 +94,6 @@ def test_tokenizer_runs_in_linear_time():
     deadline = Deadline(1)
     phi = parse_formula(text, FNS)
     deadline.check("parse of a 64 000-leaf formula")
-    assert formula_size(phi) == 2 * 64000 - 1
     assert render_formula(phi) == text
 
 
@@ -115,13 +114,6 @@ def test_literal_parse_and_str():
     assert parse_literal("y").positive
     with pytest.raises(InputError):
         parse_literal("!!x")
-
-
-def test_formula_size_depth():
-    phi = parse_formula("(or (not a) (and b c))", FNS)
-    assert formula_size(phi) == 6
-    assert formula_depth(phi) == 2
-    assert formula_depth(Var("x")) == 0
 
 
 def test_table_of():
@@ -234,7 +226,6 @@ def test_encode_cnf_models_match_truth_table():
                        for v, b in point.items()]
         res = sat_solve(enc.clauses, enc.num_vars, assumptions=assumptions)
         assert res.is_sat == bool(eval_formula(phi, point)), point
-
 
 
 def test_encode_cnf_defines_without_asserting():

@@ -1,10 +1,15 @@
 """Structure-specific solvers against the brute-force oracle."""
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloneabd import abduction, solvers
 from cloneabd.abduction import (EMPTY_EXPLANATION, AbductionInstance,
@@ -66,8 +71,8 @@ def test_literal_solver_no_explanation():
 
 
 def test_literal_solver_formula_encoded_once(monkeypatch):
-    """Variant F on the literal route encodes the instance once: the
-    entailment check and its re-check share one clause list."""
+    """Variant F on the literal route encodes the instance only for the
+    certificate re-check: psi's forced literals decide, without SAT."""
     encoded = []
     real_encode_cnf = abduction.encode_cnf
 
@@ -81,6 +86,46 @@ def test_literal_solver_formula_encoded_once(monkeypatch):
     out = solve_literal_kb(inst)
     assert out.found and out.explanation == EMPTY_EXPLANATION
     assert len(encoded) == 1
+
+@pytest.mark.parametrize("variant, manifestation", [
+    ("Q", lit("c")), ("C", (lit("!d"), lit("c"))), ("T", (lit("c"), lit("d"))),
+    ("F", "(and c d)")])
+def test_literal_route_builds_one_explanation_test(monkeypatch, variant,
+                                                   manifestation):
+    """Literal-route solve, count and enumerate decide from forced literals
+    and build one `ExplanationTest`, for the certificate re-check; with no
+    explanation they build none."""
+    built = []
+    real_init = abduction.ExplanationTest.__init__
+
+    def recording_init(self, inst):
+        built.append(inst)
+        real_init(self, inst)
+
+    monkeypatch.setattr(abduction.ExplanationTest, "__init__", recording_init)
+    inst = make_instance([AND], ["(and a (and c d))"], ["a", "b"], variant,
+                         manifestation)
+    none = make_instance([AND], ["(and a d)"], ["a", "b"], variant,
+                         manifestation)
+    assert solve(inst).found and not solve(none).found
+    for run in (solve, count_full, enumerate_full):
+        for instance, builds in ((inst, 1), (none, 0)):
+            built.clear()
+            run(instance, route="literal")
+            assert len(built) == builds, (run.__name__, builds)
+
+
+def test_literal_solver_refuses_a_formula_outside_e_and_n():
+    """Called directly on variant F, the literal route reads psi as a cube
+    and refuses psi over other connectives, naming the manifestation;
+    `route_of` never sends such an instance there."""
+    inst = make_instance([AND, OR], ["(and a c)"], ["a"], "F", "(or c d)")
+    with pytest.raises(CloneMismatchError, match="^manifestation is"):
+        solve_literal_kb(inst)
+    assert route_of(inst) != "literal"
+    with pytest.raises(CloneMismatchError):
+        route_of(inst, "literal")
+
 
 def test_literal_count_reads_the_kb_once(monkeypatch):
     """A literal-route count reads each knowledge-base formula once: the
@@ -211,7 +256,7 @@ def test_literal_reading_refuses_mixed_connectives():
     inst = make_instance([AND, NOT], ["(and (not a) b)"], ["a"],
                          "Q", lit("b"))
     with pytest.raises(CloneMismatchError):
-        solvers._forced_literals(inst)
+        solvers._forced_literals(inst.kb)
 
 
 # Per class, every table of arity 0..3 in it: the connectives of the
@@ -256,7 +301,7 @@ def test_flip_reading_matches_the_table(cls):
         table = [all(table_of(phi, variables).bits[row] for phi in kb)
                  for row in range(16)]
         if cls in "en":
-            forced = solvers._forced_literals(inst)
+            forced = solvers._forced_literals(inst.kb)
             read = [forced != solvers._FALSE and all(
                         point[v] == forced[v] for v in forced)
                     for point in _points(variables)]
@@ -505,3 +550,81 @@ def test_general_answer_rechecked_on_fresh_solvers(monkeypatch, variant):
         else:
             assert not asked["re-check"]
     assert found
+
+
+# The benchmark's independent checker (`perfbench/checker.py`) shares no code
+# with the program: it reads the instance text itself and decides from
+# truth tables.
+def _load_checker():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = checker
+    spec.loader.exec_module(checker)
+    return checker
+
+
+CHECKER = _load_checker()
+
+
+@st.composite
+def _instance_texts(draw, key):
+    """One or two random tables of arity 0-3, a KB over them and the
+    constants, hypotheses among a, b, c and a manifestation line `key` over
+    p and q; clauses and terms may repeat a literal or hold its
+    complement."""
+    tables = []
+    for j in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(0, 3))
+        bits = draw(st.integers(0, (1 << (1 << arity)) - 1))
+        tables.append((f"t{j}", arity, format(bits, f"0{1 << arity}b")))
+
+    def formula(variables, depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(variables))
+        name, arity, _ = draw(st.sampled_from(tables))
+        return "(" + " ".join([name] + [formula(variables, depth - 1)
+                                        for _ in range(arity)]) + ")"
+
+    lines = [f"fn {name} {arity} {bits}" for name, arity, bits in tables]
+    lines += [f"kb {formula(list('abcpq01'), 3)}"
+              for _ in range(draw(st.integers(1, 3)))]
+    lines.append(" ".join(["hyp", *draw(st.sets(st.sampled_from("abc")))]))
+    literal = st.builds(lambda neg, v: neg + v, st.sampled_from(["", "!"]),
+                        st.sampled_from("pq"))
+    if key == "qformula":
+        lines.append(f"qformula {formula(list('pq01'), 2)}")
+        return "\n".join(lines) + "\n"
+    lits = draw(st.lists(literal, min_size=1, max_size=1 if key == "query"
+                         else 3))
+    if key != "query" and draw(st.booleans()):
+        first = lits[0]
+        lits.append(first[1:] if first[0] == "!" else "!" + first)
+    return "\n".join(lines + [" ".join([key, *lits])]) + "\n"
+
+
+@pytest.mark.parametrize("key", ["query", "clause", "term", "qformula"])
+@settings(derandomize=True, database=None, max_examples=75, deadline=None)
+@given(data=st.data())
+def test_routes_agree_with_the_independent_checker(key, data):
+    """On auto and every named route that accepts the instance, count,
+    enumeration and solve agree with the checker's canonical list of full
+    explanations, and the checker accepts a solve's answer."""
+    text = data.draw(_instance_texts(key))
+    inst = abduction.parse_instance(text)
+    expected = CHECKER.parse_instance(text)
+    want = [CHECKER.candidate_text(expected.hypotheses, i)
+            for i in CHECKER.full_explanations(expected)]
+    for route in (None, *ROUTES):
+        try:
+            route_of(inst, route)
+        except CloneMismatchError:
+            continue
+        assert count_full(inst, route) == len(want), route
+        assert [e.serialize() for e in enumerate_full(inst, route)] == want, \
+            route
+        out = solve(inst, route=route)
+        assert out.found == bool(want), route
+        assert not out.found or CHECKER.is_explanation(
+            expected, out.explanation.serialize()), route
