@@ -12,6 +12,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
@@ -105,6 +106,9 @@ class AbductionInstance:
         return " ".join(str(l) for l in self.manifestation_literals)
 
 
+_by_var = attrgetter("var")
+
+
 @dataclass(frozen=True)
 class Explanation:
     """A consistent set of literals over the hypothesis variables."""
@@ -112,13 +116,20 @@ class Explanation:
     literals: tuple[Literal, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.literals), key=lambda l: l.var))
-        object.__setattr__(self, "literals", ordered)
-        polarities: dict[str, bool] = {}
-        for l in ordered:
-            if polarities.setdefault(l.var, l.positive) != l.positive:
-                raise InputError(
-                    f"inconsistent explanation: both polarities of {l.var!r}")
+        ordered = sorted(self.literals, key=_by_var)
+        if len({l.var for l in ordered}) != len(ordered):
+            # a repeated name: drop repeated literals, refuse the least
+            # variable that comes with both polarities
+            kept: list[Literal] = []
+            for l in ordered:
+                if kept and kept[-1].var == l.var:
+                    if kept[-1].positive != l.positive:
+                        raise InputError(f"inconsistent explanation: both "
+                                         f"polarities of {l.var!r}")
+                    continue
+                kept.append(l)
+            ordered = kept
+        object.__setattr__(self, "literals", tuple(ordered))
 
     @property
     def atoms(self) -> list[str]:
@@ -283,11 +294,23 @@ def is_explanation(inst: AbductionInstance, e: Explanation,
 # index is read as a binary counter with the first variable most significant
 # and bit 0 mapping to the negative literal.
 
+def literal_pairs(hypotheses: Sequence[str]
+                  ) -> list[tuple[Literal, Literal]]:
+    """Per hypothesis, its (negative, positive) literal: made once and read
+    by `explanation_at` for every candidate."""
+    return [(Literal(v, False), Literal(v, True)) for v in hypotheses]
+
+
+def explanation_at(pairs: Sequence[tuple[Literal, Literal]],
+                   index: int) -> Explanation:
+    """Candidate `index` over the hypotheses of `literal_pairs`."""
+    shift = len(pairs) - 1
+    return Explanation(tuple(pair[index >> (shift - j) & 1]
+                             for j, pair in enumerate(pairs)))
+
+
 def candidate_explanation(hypotheses: Sequence[str], index: int) -> Explanation:
-    n = len(hypotheses)
-    return Explanation(tuple(
-        Literal(v, bool((index >> (n - 1 - j)) & 1))
-        for j, v in enumerate(hypotheses)))
+    return explanation_at(literal_pairs(hypotheses), index)
 
 
 def _oracle_hits(inst: AbductionInstance
@@ -329,13 +352,14 @@ def explanation_hits(inst: AbductionInstance, budget: int | None,
     hyp = inst.hypotheses
     n = len(hyp)
     bits = [(1 << (n - 1 - j), test.var_of[v]) for j, v in enumerate(hyp)]
+    pairs = literal_pairs(hyp)
     for index in range(1 << n):
         if budget is not None and index >= budget:
             raise ResourceBudgetError(
                 f"{scan} scan budget {budget} candidates exceeded")
         assumed = [v if index & bit else -v for bit, v in bits]
         if test.kb_sat(assumed) and test.entails(assumed):
-            yield index, candidate_explanation(hyp, index)
+            yield index, explanation_at(pairs, index)
 
 
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:

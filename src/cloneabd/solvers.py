@@ -11,11 +11,14 @@ route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `explanations(inst, budget)`, the full explanations in canonical order: the
 product of forced and free hypotheses for the literal route, the points of
 one coset outside another for the affine route (both sets are computed
-once per instance and also give the count), the self-reducing walk over a
-per-instance prefix test for the disjunctive route, the set bits of the
-candidate tables (counted by popcount) for the monotone route, and the hits
-of `abduction.explanation_hits` for the general and oracle routes.  The
-candidate budget bounds the monotone and general routes.  `solve`,
+once per instance and also give the count), the set bits of candidate
+tables (counted by popcount) for the disjunctive and monotone routes, and
+the hits of `abduction.explanation_hits` for the general and oracle routes.
+The monotone route takes every table under its candidate budget; the
+disjunctive route walks a per-instance witness test over the leading
+hypotheses and takes one table below each prefix that the test admits, so
+it needs no budget.  The candidate budget bounds the monotone and general
+routes.  `solve`,
 `count_full` and `enumerate_full` take a route name, checked by
 `route_of`, or an entry `route_of` already resolved, and default to the
 clone's route.
@@ -29,7 +32,9 @@ its value; with essentially unary ones, a constant or the literal of the
 one variable whose flip from the all-zeros point does; with disjunctive
 ones, 1 or the clause of the variables whose flip from the all-zeros point
 does; with affine ones, the equation XOR(those variables) = 1 ^ the value
-at the all-zeros point.
+at the all-zeros point.  The disjunctive route reads a formula
+manifestation the same way, as 1 (no clause), 0 (one empty clause) or one
+positive clause.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        ExplanationTest, SolveOutcome, candidate_explanation,
+                        ExplanationTest, SolveOutcome, explanation_at,
                         explanation_hits, first_hit, is_explanation,
-                        oracle_count_full, oracle_enumerate, oracle_solve)
+                        literal_pairs, oracle_count_full, oracle_enumerate,
+                        oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
 from .formula import App, Formula, Literal, formula_mask, free_vars
 from .truthtable import (PROPERTY_NAMES, function_properties,
@@ -185,21 +191,37 @@ def _literal_explanations(inst: AbductionInstance) -> list[Explanation]:
 
 
 # ---------------------------------------------------------------------------
-# Disjunctive knowledge bases ([B] within V, manifestation a literal/clause)
+# Disjunctive knowledge bases ([B] within V, variants Q, C and F)
 
-def _kb_clauses(inst: AbductionInstance) -> list[frozenset[str]]:
-    """Positive clauses, read at the all-zeros point; valid formulas
-    dropped.  An empty clause marks an unsatisfiable knowledge base."""
-    if "v" not in _classes(inst.kb):
+def _positive_clauses(formulas: Iterable[Formula],
+                      subject: str = "knowledge base"
+                      ) -> list[frozenset[str]]:
+    """Positive clauses of formulas over disjunctive connectives, read at
+    the all-zeros point; valid formulas dropped.  An empty clause marks an
+    unsatisfiable one.  The refusal of other connectives names the
+    `subject`."""
+    if "v" not in _classes(formulas):
         raise CloneMismatchError(
-            "knowledge base has a connective that is not a disjunction of "
-            "arguments")
+            f"{subject} has a connective that is not a disjunction of "
+            f"arguments")
     out = []
-    for phi in inst.kb:
+    for phi in formulas:
         value, flipped = _flips(phi, 0)
         if not value:
             out.append(frozenset(flipped))
     return out
+
+
+def _positive_atoms(inst: AbductionInstance) -> list[frozenset[str]]:
+    """The positive atoms of each manifestation clause, which is all that a
+    monotone knowledge base can entail of it: of `manifestation_clauses`
+    for Q, C and T, and for F of psi read as `_positive_clauses` (psi = 1
+    is no clause and psi = 0 one empty clause), so psi must be built from
+    disjunctive connectives."""
+    if inst.variant == "F":
+        return _positive_clauses((inst.manifestation,), "manifestation")
+    return [frozenset(l.var for l in c if l.positive)
+            for c in inst.manifestation_clauses]
 
 
 def _disjunctive_witness(
@@ -215,15 +237,15 @@ def _disjunctive_witness(
     positive clause only by subsumption, so scanning single witness clauses
     is complete.
     """
-    if inst.variant not in ("Q", "C"):
+    if inst.variant == "T":
         raise CloneMismatchError(
-            "disjunctive path handles literal and clause manifestations")
-    clauses = _kb_clauses(inst)
-    positives = [{l.var for l in c if l.positive}
-                 for c in inst.manifestation_clauses]
+            "disjunctive path handles literal, clause and formula "
+            "manifestations")
+    clauses = _positive_clauses(inst.kb)
+    positives = _positive_atoms(inst)
     if any(not c for c in clauses) or not all(positives):
-        # an unsatisfiable KB, or a purely negative clause, which monotone
-        # KBs never entail
+        # an unsatisfiable KB, or a clause with no positive atom, which
+        # monotone KBs never entail
         return lambda prefix: None
     hyps = set(inst.hypotheses)
     candidates = [frozenset()]  # no clause to entail: the prefix alone
@@ -254,29 +276,34 @@ def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
     return SolveOutcome(True, e, "V-witness", certificate_checked=True)
 
 
-def _walk(inst: AbductionInstance) -> list[Explanation]:
-    """The full explanations, by self-reduction: branch on each hypothesis
-    variable (negative first) and descend only into subtrees whose prefix
-    some witness extends."""
+def _disjunctive_tables(inst: AbductionInstance
+                        ) -> Iterator[tuple[int, int]]:
+    """(start, table) per candidate table under the prefixes that the
+    witness admits, in canonical order: the walk branches on the leading
+    hypotheses (negative first) down to the depth where one table covers
+    the rest, and enters a prefix only if some full explanation extends
+    it.  V lies within M, so the tables are those of the monotone route;
+    with no more hypotheses than one table holds, that table alone
+    decides."""
     hyp = inst.hypotheses
+    m = min(len(hyp), _BLOCK_BITS)
+    depth = len(hyp) - m
+    block = _table_blocks(inst, _positive_atoms(inst), m)
+    if not depth:
+        yield 0, block(0)
+        return
     witness = _disjunctive_witness(inst)
-    out: list[Explanation] = []
-    prefix: list[Literal] = []
-
-    def visit() -> None:
+    stack: list[tuple[int, tuple[Literal, ...]]] = [(0, ())]
+    while stack:
+        lead, prefix = stack.pop()
         if witness(prefix) is None:
-            return
-        depth = len(prefix)
-        if depth == len(hyp):
-            out.append(Explanation(tuple(prefix)))
-            return
-        for positive in (False, True):
-            prefix.append(Literal(hyp[depth], positive))
-            visit()
-            prefix.pop()
-
-    visit()
-    return out
+            continue
+        if len(prefix) == depth:
+            yield lead << m, block(lead)
+            continue
+        v = hyp[len(prefix)]
+        stack.append((2 * lead + 1, prefix + (Literal(v, True),)))
+        stack.append((2 * lead, prefix + (Literal(v, False),)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,42 +524,59 @@ def _kb_mask(inst: AbductionInstance, masks: dict[str, int], m: int) -> int:
     return out
 
 
+def _table_blocks(inst: AbductionInstance, atoms: Sequence[Iterable[str]],
+                  m: int) -> Callable[[int], int]:
+    """block(lead): the candidate table whose leading hypotheses (all but
+    the last m) take the bits of `lead`, first hypothesis most significant,
+    while the last m vary over its rows.  Bit i is set iff candidate
+    (lead << m) + i is a full explanation of a monotone knowledge base whose
+    manifestation clauses have the positive `atoms`.  Every other variable
+    is true, which decides satisfiability of a monotone KB, and a clause is
+    entailed iff forcing its positive atoms false breaks the KB.  The masks
+    of the other variables and of the last m hypotheses are made once."""
+    hyp = inst.hypotheses
+    split = len(hyp) - m
+    full = (1 << (1 << m)) - 1
+    base = dict.fromkeys(inst.variables, full)
+    base.update((v, projection_mask(j, m))
+                for j, v in enumerate(hyp[split:]))
+    leading = list(enumerate(hyp[:split]))
+
+    def block(lead: int) -> int:
+        masks = {**base, **{v: full if lead >> (split - 1 - j) & 1 else 0
+                            for j, v in leading}}
+        table = _kb_mask(inst, masks, m)
+        for clause in atoms:
+            if table:
+                table &= ~_kb_mask(
+                    inst, {**masks, **dict.fromkeys(clause, 0)}, m)
+        return table
+
+    return block
+
+
 def _monotone_tables(inst: AbductionInstance, budget: int
                      ) -> Iterator[tuple[int, int]] | None:
     """(start, table) per block of candidates in canonical order, bit i set
-    iff candidate start + i is a full explanation; None when the
-    manifestation rules out every candidate, which is when one of its
-    clauses has no positive atom: a satisfiable monotone KB extension never
-    entails such a clause.  Within a block the last hypotheses vary over
-    the rows and the rest are fixed.  Every other variable is true, which
-    decides satisfiability of a monotone KB, and a clause is entailed iff
-    forcing its positive atoms false breaks the KB.  Like a scan that stops
-    on reaching candidate `budget`, bits from `budget` on are cleared and
+    iff candidate start + i is a full explanation (`_table_blocks`); None
+    when the manifestation rules out every candidate, which is when one of
+    its clauses has no positive atom: a satisfiable monotone KB extension
+    never entails such a clause.  Like a scan that stops on reaching
+    candidate `budget`, bits from `budget` on are cleared and
     ResourceBudgetError follows the last block if that candidate exists."""
     if inst.variant == "F":
         raise CloneMismatchError(
             "monotone scan handles literal, clause and term manifestations")
-    # the atom sets whose forcing false must break the knowledge base
-    forced = [[l.var for l in c if l.positive]
-              for c in inst.manifestation_clauses]
-    if not all(forced):
+    atoms = _positive_atoms(inst)
+    if not all(atoms):
         return None
     hyp = inst.hypotheses
     m = min(len(hyp), _BLOCK_BITS)
-    full = (1 << (1 << m)) - 1
-    masks = dict.fromkeys(inst.variables, full)
-    masks.update((v, projection_mask(j, m))
-                 for j, v in enumerate(hyp[len(hyp) - m:]))
+    block = _table_blocks(inst, atoms, m)
 
     def tables() -> Iterator[tuple[int, int]]:
         for start in range(0, min(1 << len(hyp), budget), 1 << m):
-            masks.update((v, full if start >> (len(hyp) - 1 - j) & 1 else 0)
-                         for j, v in enumerate(hyp[:len(hyp) - m]))
-            table = _kb_mask(inst, masks, m)
-            for atoms in forced:
-                if table:
-                    table &= ~_kb_mask(
-                        inst, {**masks, **dict.fromkeys(atoms, 0)}, m)
+            table = block(start >> m)
             if budget - start < 1 << m:
                 table &= (1 << (budget - start)) - 1
             yield start, table
@@ -543,16 +587,16 @@ def _monotone_tables(inst: AbductionInstance, budget: int
     return tables()
 
 
-def _monotone_hits(inst: AbductionInstance,
-                   tables: Iterable[tuple[int, int]]
-                   ) -> Iterator[tuple[int, Explanation]]:
+def _table_hits(inst: AbductionInstance, tables: Iterable[tuple[int, int]]
+                ) -> Iterator[tuple[int, Explanation]]:
     """The set bits of candidate tables, in order, as (index, candidate)
     hits."""
+    pairs = literal_pairs(inst.hypotheses)
     for start, table in tables:
         rows = bin(table)[:1:-1]
         i = rows.find("1")
         while i >= 0:
-            yield start + i, candidate_explanation(inst.hypotheses, start + i)
+            yield start + i, explanation_at(pairs, start + i)
             i = rows.find("1", i + 1)
 
 
@@ -561,7 +605,7 @@ def solve_monotone(inst: AbductionInstance,
     tables = _monotone_tables(inst, budget)
     if tables is None:
         return SolveOutcome(False, None, "monotone-scan")
-    out = first_hit(inst, _monotone_hits(inst, tables), "monotone-scan")
+    out = first_hit(inst, _table_hits(inst, tables), "monotone-scan")
     assert not out.found or is_explanation(inst, out.explanation)
     return out
 
@@ -603,10 +647,13 @@ ROUTES: dict[str, Route] = {
         count=lambda i, b: _count_literal_kb(i), count_label="literal-KB",
         explanations=lambda i, b: _literal_explanations(i)),
     "disjunctive": Route(
-        applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C"),
+        applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C", "F"),
         solve=lambda i, b: solve_disjunctive_kb(i),
-        count=lambda i, b: len(_walk(i)), count_label="V-witness",
-        explanations=lambda i, b: _walk(i)),
+        count=lambda i, b: sum(
+            t.bit_count() for _, t in _disjunctive_tables(i)),
+        count_label="V-witness",
+        explanations=lambda i, b: (e for _, e in _table_hits(
+            i, _disjunctive_tables(i)))),
     "affine": Route(
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
@@ -618,7 +665,7 @@ ROUTES: dict[str, Route] = {
         count=lambda i, b: sum(
             t.bit_count() for _, t in _monotone_tables(i, b) or ()),
         count_label="monotone-scan",
-        explanations=lambda i, b: (e for _, e in _monotone_hits(
+        explanations=lambda i, b: (e for _, e in _table_hits(
             i, _monotone_tables(i, b) or ()))),
     "general": Route(
         applies=lambda c, v: True,
@@ -681,9 +728,10 @@ def solve(inst: AbductionInstance, budget: int = DEFAULT_CANDIDATE_BUDGET,
 def count_full(inst: AbductionInstance, route: str | Route | None = None,
                budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Exact number of full explanations.  Counting is #P-hard already for
-    disjunctive knowledge bases, so the disjunctive route counts the leaves
-    of its enumeration walk, and the monotone and general routes the hits
-    of their own scans."""
+    disjunctive knowledge bases, so the disjunctive route adds up the
+    popcounts of the tables below the prefixes its witness admits, the
+    monotone route those of every table and the general route counts the
+    hits of its scan."""
     return _entry(inst, route).count(inst, budget)
 
 

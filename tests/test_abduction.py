@@ -44,6 +44,10 @@ def test_explanation_normal_form():
 def test_explanation_inconsistent():
     with pytest.raises(InputError):
         Explanation((lit("a"), lit("!a")))
+    # repeats are dropped; the least variable with both polarities is named
+    with pytest.raises(InputError, match="both polarities of 'b'$"):
+        Explanation((lit("!d"), lit("d"), lit("c"), lit("b"), lit("c"),
+                     lit("!b"), lit("a"), lit("a")))
 
 
 def test_candidate_order():

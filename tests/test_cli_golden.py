@@ -4,12 +4,16 @@
 exact stdout and exit code of each command, as text and with `--json`. It
 was captured before solve, count and enumerate shared one route table.
 `_expected` applies the intended differences since then:
-- the disjunctive route counts with its enumeration walk and the monotone
-  and general routes with their own scans instead of the oracle, so their
-  count methods read `V-witness`, `monotone-scan` and `general-scan`
-  instead of `oracle`;
+- the disjunctive route counts with its candidate tables under witness
+  prefixes and the monotone and general routes with their own scans
+  instead of the oracle, so their count methods read `V-witness`,
+  `monotone-scan` and `general-scan` instead of `oracle`;
 - `enumerate` on the monotone and general routes outside V lists the
   explanations (in the oracle's canonical order) instead of exiting 2.
+The [OR] formula case went from the general route to the disjunctive one
+when that route took variant F over V; its `solve` runs were pinned again
+then, with the V-witness answer (`!v1 !v2 v3`, which the oracle lists),
+and its count label follows the route.
 """
 
 import json
@@ -92,7 +96,11 @@ def test_identify_output_is_pinned(case, tmp_path, capsys):
 # all-negative clauses and terms over AND, NOT, OR, XOR3, MAJ3 and AND+NOT,
 # and formulas that read as 0, 1, a cube or a negative literal over AND, NOT
 # and ID with constants.  It was captured before the manifestation was read
-# once, as clauses, and is matched with no adjustment.
+# once, as clauses, and is matched with no adjustment.  The runs that the
+# disjunctive route's variant F changed were pinned again when it came, each
+# checked against the oracle's answer: `--method auto` on the [OR] formula
+# (`V-witness` instead of `general-scan`) and `--method disjunctive` on
+# every formula over V (answers instead of refusals).
 VARIANT_GOLDEN = json.loads(
     (Path(__file__).parent / "cli_variant_golden.json").read_text())
 

@@ -21,7 +21,9 @@ from cloneabd.cli import main
 from cloneabd.errors import CloneMismatchError, ResourceBudgetError
 from cloneabd.formula import (App, Const, Var, balanced_tree, parse_formula,
                               render_formula, table_of)
-from cloneabd.lattice import all_clone_ids, base_of
+from cloneabd.lattice import (IN_L, NP_COMPLETE, P_PARITYL_HARD,
+                              SIGMA2P_COMPLETE, all_clone_ids, base_of,
+                              classify_clone_decision)
 from cloneabd.reductions import gen_random_instance
 from cloneabd.solvers import (ROUTES, count_affine, count_full,
                               enumerate_full, route_of, solve, solve_affine,
@@ -45,6 +47,7 @@ def test_route_dispatch():
     assert route([AND]) == "literal"
     assert route([NOT]) == "literal"
     assert route([OR]) == "disjunctive"
+    assert route([OR], "F") == "disjunctive"
     assert route([OR], "T") == "monotone"
     assert route([XOR3]) == "affine"
     assert route([MAJ3]) == "monotone"
@@ -306,7 +309,7 @@ def test_flip_reading_matches_the_table(cls):
                         point[v] == forced[v] for v in forced)
                     for point in _points(variables)]
         elif cls == "v":
-            clauses = solvers._kb_clauses(inst)
+            clauses = solvers._positive_clauses(inst.kb)
             read = [all(any(point[v] for v in c) for c in clauses)
                     for point in _points(variables)]
         else:
@@ -382,6 +385,23 @@ def test_solve_outcome_invariants():
     out = solve(inst)
     if out.found:
         assert out.certificate_checked
+
+
+# the routes that decide each class of `classify_clone_decision` within it
+ROUTES_OF_CLASS = {IN_L: {"literal", "disjunctive"},
+                   P_PARITYL_HARD: {"affine"}, NP_COMPLETE: {"monotone"},
+                   SIGMA2P_COMPLETE: {"general"}}
+
+
+@pytest.mark.parametrize("clone", all_clone_ids((2, 3)),
+                         ids=lambda c: c.name)
+def test_auto_route_matches_the_classification(clone):
+    """For every clone and variant, the clone's route is one that decides
+    the paper's class of the pair: a logspace case is never scanned."""
+    for variant in "QCTF":
+        inst = gen_random_instance(0, base_of(clone), variant=variant)
+        assert route_of(inst) in ROUTES_OF_CLASS[
+            classify_clone_decision(clone, variant)], variant
 
 
 @pytest.mark.parametrize("clone", all_clone_ids((2,)), ids=lambda c: c.name)
@@ -628,3 +648,104 @@ def test_routes_agree_with_the_independent_checker(key, data):
         assert out.found == bool(want), route
         assert not out.found or CHECKER.is_explanation(
             expected, out.explanation.serialize()), route
+
+
+# Disjunctive bases, with the constant tables that V0, V1 and V allow.
+V_BASES = {"OR": ["fn or 2 0111"],
+           "OR+0": ["fn or 2 0111", "fn c0 0 0"],
+           "OR+1": ["fn or 2 0111", "fn c1 0 1"],
+           "OR+0+1": ["fn or 2 0111", "fn c0 0 0", "fn c1 0 1"]}
+
+
+@st.composite
+def _disjunctive_texts(draw, key, base):
+    """A KB of one to four formulas over `or`, the base's constant tables,
+    bare constants and a..e, p, q; up to five hypotheses among a..e, so
+    that the witness walk runs above blocks of two hypotheses; and a
+    manifestation line `key` over p and q."""
+    lines = V_BASES[base]
+    atoms = ["0", "1"] + [f"({line.split()[1]})" for line in lines[1:]]
+
+    def formula(variables, depth):
+        if depth == 0 or draw(st.booleans()):
+            if draw(st.integers(0, 5)) == 0:
+                return draw(st.sampled_from(atoms))
+            return draw(st.sampled_from(variables))
+        return (f"(or {formula(variables, depth - 1)} "
+                f"{formula(variables, depth - 1)})")
+
+    lines = lines + [f"kb {formula(list('abcdepq'), 3)}"
+                     for _ in range(draw(st.integers(1, 4)))]
+    lines.append(" ".join(["hyp", *draw(st.sets(st.sampled_from("abcde")))]))
+    if key == "qformula":
+        return "\n".join(lines + [f"qformula {formula(list('pq'), 2)}"]) + "\n"
+    literal = st.builds(lambda neg, v: neg + v, st.sampled_from(["", "!"]),
+                        st.sampled_from("pq"))
+    lits = draw(st.lists(literal, min_size=1,
+                         max_size=1 if key == "query" else 3))
+    return "\n".join(lines + [" ".join([key, *lits])]) + "\n"
+
+
+@pytest.mark.parametrize("base", sorted(V_BASES))
+@pytest.mark.parametrize("key", ["query", "clause", "qformula"])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_disjunctive_tables_agree_with_the_independent_checker(key, base,
+                                                               data):
+    """Over V, V0, V1 and V2 the clone's route is the disjunctive one, and
+    its count, enumeration and solve agree with the checker, with tables of
+    2^16 candidates (one table decides alone) and of 4 (the witness walks
+    the leading hypotheses and takes a table below each prefix it
+    admits)."""
+    text = data.draw(_disjunctive_texts(key, base))
+    inst = abduction.parse_instance(text)
+    assert route_of(inst) == "disjunctive"
+    expected = CHECKER.parse_instance(text)
+    want = [CHECKER.candidate_text(expected.hypotheses, i)
+            for i in CHECKER.full_explanations(expected)]
+    for bits in (16, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_BLOCK_BITS", bits)
+            assert count_full(inst) == len(want), bits
+            assert [e.serialize() for e in enumerate_full(inst)] == want, bits
+            out = solve(inst)
+            assert out.found == bool(want)
+            assert not out.found or CHECKER.is_explanation(
+                expected, out.explanation.serialize())
+
+
+def _wide_disjunctive(tmp_path, h, manifestation):
+    """`kb (or hi (or ci z))` for i = 1..h, hypotheses h1..hh."""
+    lines = ["fn or 2 0111"]
+    lines += [f"kb (or h{i} (or c{i} z))" for i in range(1, h + 1)]
+    lines += [" ".join(["hyp"] + [f"h{i}" for i in range(1, h + 1)]),
+              manifestation]
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("manifestation",
+                         ["clause z c1 c2", "qformula (or z (or c1 c2))"])
+def test_disjunctive_count_by_tables_is_fast(tmp_path, capsys,
+                                             manifestation):
+    """22 hypotheses with 3 145 728 explanations (h1 or h2 false): counted
+    from 64 tables under the witness, not one explanation at a time."""
+    path = _wide_disjunctive(tmp_path, 22, manifestation)
+    deadline = Deadline(1)
+    assert main(["count", path]) == 0
+    deadline.check(manifestation)
+    assert capsys.readouterr().out == (
+        "full explanations: 3145728 (method V-witness)\n")
+
+
+def test_disjunctive_formula_without_explanation_is_decided(tmp_path,
+                                                            capsys):
+    """40 hypotheses, and psi = z is entailed by no witness clause: the
+    answer is a definite no, where a candidate scan would exhaust its
+    budget."""
+    path = _wide_disjunctive(tmp_path, 40, "qformula (or z z)")
+    deadline = Deadline(1)
+    assert main(["solve", path]) == 1
+    deadline.check("solve")
+    assert capsys.readouterr().out == "no explanation (method V-witness)\n"
