@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from .errors import InputError, ResourceBudgetError
 from .formula import (VAR_RE, App, Const, Formula, Literal, Var,
                       encode_cnf, free_vars, parse_formula, parse_literal,
-                      render_formula, substitute_map)
+                      postorder, rebuild, render_formula, substitute_map)
 from .sat import Solver, sat_solve
 from .truthtable import OR, FunctionSet, TruthTable
 
@@ -185,7 +185,8 @@ def validate_instance(inst: AbductionInstance) -> list[str]:
             f"manifestation variable outside knowledge base: "
             f"{', '.join(m_outside)}")
     if inst.variant == "F":
-        bad = _foreign_connectives(inst.manifestation, inst.fns)
+        bad = {f.fn.name for f in postorder(inst.manifestation)
+               if isinstance(f, App) and f.fn.name not in inst.fns}
         if bad:
             errors.append(
                 f"manifestation uses connectives outside the declared set: "
@@ -198,15 +199,6 @@ def _overlap_error(inst: AbductionInstance) -> str | None:
     if overlap:
         return f"manifestation overlaps hypotheses: {', '.join(overlap)}"
     return None
-
-
-def _foreign_connectives(phi: Formula, fns: FunctionSet) -> set[str]:
-    if isinstance(phi, App):
-        out = set() if phi.fn.name in fns else {phi.fn.name}
-        for a in phi.args:
-            out |= _foreign_connectives(a, fns)
-        return out
-    return set()
 
 
 def _check_candidate(inst: AbductionInstance, e: Explanation) -> None:
@@ -390,23 +382,6 @@ def _is_const(phi: Formula, value: int) -> bool:
             and phi.fn.bits[0] == value)
 
 
-def _contains_const(phi: Formula, value: int) -> bool:
-    if _is_const(phi, value):
-        return True
-    if isinstance(phi, App):
-        return any(_contains_const(a, value) for a in phi.args)
-    return False
-
-
-def _replace_const(phi: Formula, value: int, repl: Formula) -> Formula:
-    if _is_const(phi, value):
-        return repl
-    if isinstance(phi, App):
-        return App(phi.fn,
-                   tuple(_replace_const(a, value, repl) for a in phi.args))
-    return phi
-
-
 def fresh_variable(inst: AbductionInstance, prefix: str) -> str:
     used = set(inst.variables)
     i = 1
@@ -419,10 +394,14 @@ def eliminate_true(inst: AbductionInstance) -> AbductionInstance:
     """Replace every occurrence of the constant 1 by a fresh variable forced
     true by a unit formula.  Parsimonious: full-explanation sets are
     unchanged.  Instances without the constant are returned as-is."""
-    if not any(_contains_const(phi, 1) for phi in inst.formulas):
+    if not any(_is_const(f, 1) for f in postorder(inst.formulas)):
         return inst
     tvar = Var(fresh_variable(inst, "_t"))
-    out = inst.map_formulas(lambda phi: _replace_const(phi, 1, tvar))
+
+    def node(f: Formula, args: tuple[Formula, ...]) -> Formula:
+        return App(f.fn, args) if args else tvar if _is_const(f, 1) else f
+
+    out = inst.map_formulas(lambda phi: rebuild(phi, node))
     return replace(out, kb=out.kb + (tvar,))
 
 
@@ -434,7 +413,7 @@ def eliminate_false(inst: AbductionInstance) -> AbductionInstance:
     the constant are returned as-is."""
     if inst.variant == "F":
         raise InputError("eliminate_false supports variants Q, C and T only")
-    if not any(_contains_const(phi, 0) for phi in inst.kb):
+    if not any(_is_const(f, 0) for f in postorder(inst.kb)):
         return inst
     from .errors import NoRepresentationError
     from .lattice import synthesize_representation
@@ -450,10 +429,12 @@ def eliminate_false(inst: AbductionInstance) -> AbductionInstance:
             "declared connectives") from None
     f = fresh_variable(inst, "_f")
     fvar = Var(f)
-    kb = tuple(
-        substitute_map(or_repr,
-                       {"x1": _replace_const(phi, 0, fvar), "x2": fvar})
-        for phi in inst.kb)
+
+    def node(g: Formula, args: tuple[Formula, ...]) -> Formula:
+        return App(g.fn, args) if args else fvar if _is_const(g, 0) else g
+
+    kb = tuple(substitute_map(or_repr, {"x1": rebuild(phi, node), "x2": fvar})
+               for phi in inst.kb)
     return replace(inst, kb=kb,
                    hypotheses=inst.hypotheses + (f,))
 

@@ -3,7 +3,7 @@ verify, generate and repr subcommands with deterministic text/JSON output.
 
 Exit codes: 0 success, 1 definite negative answer, 2 input error (including
 a --method route outside the instance's clone), 3 resource budget exceeded
-(including input nested too deeply to process and running out of memory).
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except RecursionError:
+    except RecursionError:  # a guard: no formula walk recurses
         print("error: input nested too deeply (recursion limit exceeded)",
               file=sys.stderr)
         return EXIT_BUDGET

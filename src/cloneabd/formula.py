@@ -5,6 +5,8 @@ as literal polarity, and asserted roots without a gate variable).
 
 Concrete syntax is s-expressions: ``formula := var | '0' | '1' |
 '(' fname formula+ ')'``.  Variables match ``[a-zA-Z_][a-zA-Z0-9_']*``.
+Parsing uses an explicit stack and every walk is a loop over `postorder`,
+so nesting depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
-from .truthtable import (FunctionSet, TruthTable, compose, eval_fn,
-                         mask_to_table, projection_mask, row_index)
+from .truthtable import (FunctionSet, TruthTable, compose, mask_to_table,
+                         projection_mask, row_index)
 
 VAR_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
@@ -82,16 +84,20 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse_formula(text: str, fns: FunctionSet) -> Formula:
+    """One formula, read left to right with an explicit stack of the open
+    applications, so nesting depth is bounded by memory only."""
     tokens = _tokenize(text)
-    pos = 0
 
     def fail(msg: str, at: int) -> None:
         raise InputError(f"parse error at position {at}: {msg}")
 
-    def parse_one() -> Formula:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input", len(text))
+    done: list[Formula] = []
+    args = done
+    # per open application: its table, the position of its '(' and its
+    # arguments so far
+    frames: list[tuple[TruthTable, int, list[Formula]]] = []
+    pos = 0
+    while pos < len(tokens):
         tok, at = tokens[pos]
         pos += 1
         if tok == "(":
@@ -103,95 +109,112 @@ def parse_formula(text: str, fns: FunctionSet) -> Formula:
                 fail("expected connective name", nat)
             if name not in fns:
                 fail(f"unknown connective {name!r}", nat)
-            fn = fns.get(name)
             args = []
-            while pos < len(tokens) and tokens[pos][0] != ")":
-                args.append(parse_one())
-            if pos >= len(tokens):
-                fail("missing ')'", len(text))
-            pos += 1  # consume ')'
-            if len(args) != fn.arity:
-                fail(f"connective {name!r} expects {fn.arity} arguments, "
-                     f"got {len(args)}", at)
-            return App(fn, tuple(args))
+            frames.append((fns.get(name), at, args))
+            continue
         if tok == ")":
-            fail("unexpected ')'", at)
-        if tok in ("0", "1"):
-            return Const(int(tok))
-        if not VAR_RE.fullmatch(tok):
+            if not frames:
+                fail("unexpected ')'", at)
+            fn, start, children = frames.pop()
+            if len(children) != fn.arity:
+                fail(f"connective {fn.name!r} expects {fn.arity} arguments, "
+                     f"got {len(children)}", start)
+            node: Formula = App(fn, tuple(children))
+            args = frames[-1][2] if frames else done
+        elif tok in ("0", "1"):
+            node = Const(int(tok))
+        elif VAR_RE.fullmatch(tok):
+            node = Var(tok)
+        else:
             fail(f"bad variable name {tok!r}", at)
-        return Var(tok)
-
-    result = parse_one()
+        args.append(node)
+        if not frames:
+            break
+    if frames:
+        fail("missing ')'", len(text))
+    if not done:
+        fail("unexpected end of input", len(text))
     if pos != len(tokens):
         fail("trailing input", tokens[pos][1])
-    return result
+    return done[0]
+
+
+def postorder(phi: Formula | Iterable[Formula]) -> list[Formula]:
+    """The nodes of a formula, or of each formula of an iterable in turn,
+    children before parents and left to right, so each formula's root
+    comes last.  Every walk over formulas reads this list, with a stack of
+    the values of the nodes not yet consumed, and none recurses."""
+    stack = [phi] if isinstance(phi, (Var, Const, App)) else list(phi)
+    out = []
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        if isinstance(f, App):
+            stack.extend(f.args)
+    out.reverse()  # it was popped root first and right to left
+    return out
 
 
 def render_formula(phi: Formula) -> str:
-    if isinstance(phi, Var):
-        return phi.name
-    if isinstance(phi, Const):
-        return str(phi.value)
-    return "(" + " ".join([phi.fn.name] + [render_formula(a) for a in phi.args]) + ")"
+    parts: list[str] = []
+    for f in postorder(phi):
+        if isinstance(f, App):
+            cut = len(parts) - f.fn.arity
+            parts[cut:] = ["(" + " ".join([f.fn.name, *parts[cut:]]) + ")"]
+        else:
+            parts.append(f.name if isinstance(f, Var) else str(f.value))
+    return parts[0]
+
+
+def rebuild(phi: Formula,
+            node: Callable[[Formula, tuple[Formula, ...]], Formula]
+            ) -> Formula:
+    """phi rebuilt bottom-up: each node f becomes node(f, args), with args
+    the rebuilt arguments of f (empty for a variable or a constant)."""
+    stack: list[Formula] = []
+    for f in postorder(phi):
+        if isinstance(f, App) and f.args:
+            cut = len(stack) - f.fn.arity
+            stack[cut:] = [node(f, tuple(stack[cut:]))]
+        else:
+            stack.append(node(f, ()))
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
 # Semantics
 
 def eval_formula(phi: Formula, sigma: Mapping[str, int]) -> int:
-    if isinstance(phi, Var):
-        if phi.name not in sigma:
-            raise InputError(f"unassigned variable {phi.name!r}")
-        return sigma[phi.name] & 1
-    if isinstance(phi, Const):
-        return phi.value
-    return eval_fn(phi.fn, [eval_formula(a, sigma) for a in phi.args])
+    return formula_mask(phi, {v: b & 1 for v, b in sigma.items()}, 0)
 
 
 def substitute_map(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace variables by formulas."""
-    if isinstance(phi, Var):
-        return mapping.get(phi.name, phi)
-    if isinstance(phi, App):
-        return App(phi.fn, tuple(substitute_map(a, mapping) for a in phi.args))
-    return phi
+    return rebuild(phi, lambda f, args: App(f.fn, args) if args else
+                   mapping.get(f.name, f) if isinstance(f, Var) else f)
 
 
 def free_vars(phi: Formula | Iterable[Formula]) -> list[str]:
     """Sorted variable names of a formula or an iterable of formulas."""
-    seen: set[str] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Var):
-            seen.add(f.name)
-        elif isinstance(f, App):
-            for a in f.args:
-                walk(a)
-
-    if isinstance(phi, (Var, Const, App)):
-        walk(phi)
-    else:
-        for f in phi:
-            walk(f)
-    return sorted(seen)
+    return sorted({f.name for f in postorder(phi) if isinstance(f, Var)})
 
 
 def formula_mask(phi: Formula, masks: Mapping[str, int], m: int) -> int:
     """The arity-m table (an int mask, row i in bit i) of a formula whose
     variables are given as arity-m tables: every row evaluated at once,
     one `compose` per connective."""
-    if isinstance(phi, Var):
-        if phi.name not in masks:
-            raise InputError(f"unassigned variable {phi.name!r}")
-        return masks[phi.name]
-    if isinstance(phi, Const):
-        return (1 << (1 << m)) - 1 if phi.value else 0
-    # a plain loop: a comprehension would cost a second frame per level
-    children = []
-    for a in phi.args:
-        children.append(formula_mask(a, masks, m))
-    return compose(phi.fn, children, m)
+    values: list[int] = []
+    for f in postorder(phi):
+        if isinstance(f, App):
+            cut = len(values) - f.fn.arity
+            values[cut:] = [compose(f.fn, values[cut:], m)]
+        elif isinstance(f, Var):
+            if f.name not in masks:
+                raise InputError(f"unassigned variable {f.name!r}")
+            values.append(masks[f.name])
+        else:
+            values.append((1 << (1 << m)) - 1 if f.value else 0)
+    return values[0]
 
 
 def table_of(phi: Formula, variables: Sequence[str] | None = None) -> TruthTable:
@@ -260,6 +283,7 @@ def balanced_tree(op: TruthTable, operands: Sequence[Formula]) -> Formula:
             f"{len(ops)} operands cannot fill a {k}-ary tree without padding")
 
     def build(chunk: list[Formula]) -> Formula:
+        # recurses log_k(len(ops)) deep: every part is at most half a chunk
         if len(chunk) == 1:
             return chunk[0]
         parts = []
@@ -280,18 +304,16 @@ def replace_connectives(phi: Formula,
     balance chains first, since template substitution multiplies the size
     of a deep formula.
     """
-    def rewrite(f: Formula) -> Formula:
+    def node(f: Formula, args: tuple[Formula, ...]) -> Formula:
         if not isinstance(f, App):
             return f
-        args = [rewrite(a) for a in f.args]
         if f.fn.name not in repr_map:
             raise InputError(
                 f"no replacement template for connective {f.fn.name!r}")
-        template = repr_map[f.fn.name]
-        mapping = {f"x{i + 1}": arg for i, arg in enumerate(args)}
-        return substitute_map(template, mapping)
+        return substitute_map(repr_map[f.fn.name],
+                              {f"x{i + 1}": arg for i, arg in enumerate(args)})
 
-    return rewrite(phi)
+    return rebuild(phi, node)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +346,25 @@ class CnfEncoding:
         """Appends the definitions of phi's gates and returns a CNF literal
         equivalent to phi; nothing asserts it.  Identity and negation fold
         into their child's literal."""
-        if isinstance(phi, Var):
-            return self.lit(Literal(phi.name, True))
-        if isinstance(phi, Const):
-            g = self.new_var()
-            self.clauses.append([g if phi.value else -g])
-            return g
-        lits = []
-        for a in phi.args:  # a plain loop, as in `formula_mask`
-            lits.append(self.gate(a))
-        if phi.fn.bits in _POLARITY:
-            return _POLARITY[phi.fn.bits] * lits[0]
-        g = self.new_var()
-        lits.append(g)
-        self.emit(gate_implicates(phi.fn.arity, phi.fn.bits), lits)
-        return g
+        lits: list[int] = []
+        for f in postorder(phi):
+            if isinstance(f, Var):
+                lits.append(self.var_of.get(f.name)
+                            or self.lit(Literal(f.name, True)))
+            elif isinstance(f, Const):
+                g = self.new_var()
+                self.clauses.append([g if f.value else -g])
+                lits.append(g)
+            elif f.fn.bits in _POLARITY:
+                lits[-1] *= _POLARITY[f.fn.bits]
+            else:
+                cut = len(lits) - f.fn.arity
+                children = lits[cut:]
+                g = self.new_var()
+                lits[cut:] = [g]
+                self.emit(gate_implicates(f.fn.arity, f.fn.bits),
+                          children + [g])
+        return lits[0]
 
     def assert_formula(self, phi: Formula) -> None:
         """Appends clauses that hold exactly where phi does; a root
@@ -374,7 +400,7 @@ def gate_implicates(arity: int, bits: tuple[int, ...],
     implicate iff its falsifying cube holds no model, and prime iff freeing
     any one fixed position of that cube lets a model in.
     """
-    if sign:
+    if sign:  # recurses one level, with sign 0
         g = (arity + 1) * sign
         return tuple(tuple(e for e in clause if e != -g)
                      for clause in gate_implicates(arity, bits)

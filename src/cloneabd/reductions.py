@@ -17,11 +17,11 @@ from typing import Iterator
 from .abduction import (AbductionInstance, eliminate_false, eliminate_true)
 from .errors import CloneMismatchError, InputError
 from .formula import (App, Formula, Literal, Var, balanced_tree, free_vars,
-                      replace_connectives)
+                      postorder, replace_connectives)
 from .lattice import (CloneId, clone_leq, identify_clone,
                       synthesize_representation)
 from .truthtable import (AND, CONST0, CONST1, IMPLIES, NOT, OR, OR_AND,
-                         XOR3, FunctionSet, TruthTable)
+                         XOR3, FunctionSet)
 
 _L2 = CloneId("L2")
 _V2 = CloneId("V2")
@@ -122,13 +122,6 @@ def _require(cond: bool, msg: str) -> None:
         raise CloneMismatchError(msg)
 
 
-def _collect_helpers(phi: Formula, acc: dict[str, TruthTable]) -> None:
-    if isinstance(phi, App):
-        acc[phi.fn.name] = phi.fn
-        for a in phi.args:
-            _collect_helpers(a, acc)
-
-
 def compile_instance(inst: AbductionInstance, base: FunctionSet,
                      use_const0: bool, use_const1: bool,
                      budget: int = 200000) -> AbductionInstance:
@@ -143,9 +136,8 @@ def compile_instance(inst: AbductionInstance, base: FunctionSet,
         extra.append(CONST1)
     ext = base.extended(*extra)
 
-    helpers: dict[str, TruthTable] = {}
-    for phi in inst.formulas:
-        _collect_helpers(phi, helpers)
+    helpers = {f.fn.name: f.fn for f in postorder(inst.formulas)
+               if isinstance(f, App)}
     repr_map = {name: synthesize_representation(ext, fn, budget)
                 for name, fn in sorted(helpers.items())}
 
@@ -391,6 +383,7 @@ def gen_random_instance(seed: int, base: FunctionSet, num_vars: int = 4,
                 return App(CONST1 if rng.random() < 0.5 else CONST0, ())
             return Var(rng.choice(variables))
         f = rng.choice(apps)
+        # recurses at most `depth` deep
         return App(f, tuple(tree(d - 1) for _ in range(f.arity)))
 
     kb = [tree(depth) for _ in range(num_formulas)]

@@ -51,7 +51,8 @@ from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         literal_pairs, oracle_count_full, oracle_enumerate,
                         oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
-from .formula import App, Formula, Literal, formula_mask, free_vars
+from .formula import (App, Formula, Literal, formula_mask, free_vars,
+                      postorder)
 from .truthtable import (PROPERTY_NAMES, function_properties,
                          projection_mask)
 from .lattice import CloneId, clone_leq, identify_clone
@@ -71,13 +72,7 @@ _M = CloneId("M")
 def _classes(formulas: Iterable[Formula]) -> frozenset[str]:
     """The classes of `function_properties` that every connective of the
     formulas belongs to (all of them when there is none)."""
-    fns = set()
-    stack = list(formulas)
-    while stack:
-        phi = stack.pop()
-        if isinstance(phi, App):
-            fns.add(phi.fn)
-            stack.extend(phi.args)
+    fns = {f.fn for f in postorder(formulas) if isinstance(f, App)}
     return PROPERTY_NAMES.intersection(*map(function_properties, fns))
 
 

@@ -350,7 +350,7 @@ def _folded(cofactors: list[int], pools: Sequence[Collection[int]],
             if mask not in known:
                 yield (*chosen, c), mask
         return
-    for c in pool:
+    for c in pool:  # recurses once per argument: arity <= MAX_ARITY deep
         yield from _folded([g0 ^ (d & c) for g0, d in zip(low, diffs)],
                            pools, known, (*chosen, c))
 

@@ -5,6 +5,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloneabd.abduction import (AbductionInstance, EMPTY_EXPLANATION,
                                 Explanation, ExplanationTest,
@@ -24,6 +26,7 @@ from cloneabd.truthtable import (AND, CONST0, CONST1, MAJ3, NOT, OR, XOR3,
                                  FunctionSet, TruthTable)
 
 from conftest import lit, make_instance
+from test_formula import NAMED, named_formulas
 
 
 def simple_instance(variant="Q", manifestation=None):
@@ -377,6 +380,33 @@ def test_parse_serialize_roundtrip():
     assert serialize_instance(inst) == text
     again = parse_instance(serialize_instance(inst))
     assert serialize_instance(again) == text
+
+
+@st.composite
+def _instances(draw):
+    """An instance over NAMED: a KB over a, b, p and q, hypotheses among
+    a and b, and a manifestation of any variant over p and q."""
+    variant = draw(st.sampled_from("QCTF"))
+    literal = st.builds(Literal, st.sampled_from("pq"), st.booleans())
+    if variant == "Q":
+        manifestation = draw(literal)
+    elif variant == "F":
+        manifestation = draw(named_formulas("pq"))
+    else:
+        manifestation = tuple(draw(st.lists(literal, min_size=1,
+                                            max_size=3)))
+    return AbductionInstance(
+        NAMED, tuple(draw(st.lists(named_formulas("abpq"), max_size=3))),
+        tuple(draw(st.sets(st.sampled_from("ab")))), variant, manifestation)
+
+
+@settings(derandomize=True, database=None, max_examples=75, deadline=None)
+@given(_instances())
+def test_serialize_then_parse_gives_the_instance_back(inst):
+    again = parse_instance(serialize_instance(inst))
+    # a FunctionSet compares by identity, so its tables are compared here
+    assert list(again.fns) == list(inst.fns)
+    assert replace(again, fns=inst.fns) == inst
 
 
 def test_parse_all_variants():

@@ -279,39 +279,37 @@ def test_method_means_the_same_on_every_command(inst_file, capsys, route):
     assert len(set(refused)) == 1, refused
 
 
-def test_deep_formula_exits_3_without_output(tmp_path, capsys):
-    kb = "a"
-    for i in range(1200):
-        kb = f"(or {kb} b{i % 5})"
-    p = tmp_path / "deep.txt"
-    p.write_text(f"fn or 2 0111\nkb {kb}\nhyp a b1 b2 b3 b4\nquery b0\n")
-    code = main(["solve", str(p)])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1
-
-
 def _left_nested(op, depth, operands):
-    kb = "a"
-    for i in range(depth):
-        kb = f"({op} {kb} {' '.join(operands(i))})"
-    return kb
+    """(op ... (op (op a o0) o1) ... o_{depth-1}), built in linear time."""
+    return f"({op} " * depth + "a" + "".join(
+        f" {' '.join(operands(i))})" for i in range(depth))
 
 
-# 900-deep knowledge bases and their solve, count and enumerate exit codes;
-# in the `-none` cases the query's clause or equation holds a variable that
-# is neither the query nor a hypothesis, so nothing explains it
+# Knowledge bases nested 900 and 10 000 deep, past any recursion limit, and
+# their solve, count and enumerate exit codes; in the `-none` cases the
+# query's clause or equation holds a variable that is neither the query nor
+# a hypothesis, so nothing explains it.  The [AND, NOT] chain spells the
+# `or` chain as (not (and (not .) (not b))), which the general route scans.
 OR_DEEP = _left_nested("or", 900, lambda i: [f"b{i % 5}"])
 XOR3_DEEP = _left_nested("xor3", 900,
                          lambda i: [f"b{2 * i}", f"b{2 * i + 1}"])
+OR_10K = _left_nested("or", 10000, lambda i: [f"b{i % 5}"])
+XOR3_10K = _left_nested("xor3", 10000,
+                        lambda i: [f"b{2 * i}", f"b{2 * i + 1}"])
+AND_NOT_10K = "(not (and (not " * 10000 + "a" + "".join(
+    f") (not b{i % 3})))" for i in range(10000))
 DEEP = {
     "or-none": (f"{OR_BASE}kb {OR_DEEP}\nhyp a b1 b2 b3\nquery b0\n",
                 [1, 0, 0]),
     "or-found": (f"{OR_BASE}kb {OR_DEEP}\nhyp a b1 b2 b3 b4\nquery b0\n",
                  [0, 0, 0]),
     "xor3-none": (f"{L2_BASE}kb {XOR3_DEEP}\nhyp a\nquery b0\n", [1, 0, 0]),
+    "or-10000-found": (f"{OR_BASE}kb {OR_10K}\nhyp a b1 b2 b3 b4\n"
+                       f"query b0\n", [0, 0, 0]),
+    "and-not-10000-found": (f"{BF_BASE}kb {AND_NOT_10K}\nhyp a b1 b2\n"
+                            f"query b0\n", [0, 0, 0]),
+    "xor3-10000-none": (f"{L2_BASE}kb {XOR3_10K}\nhyp a\nquery b0\n",
+                        [1, 0, 0]),
 }
 
 

@@ -14,11 +14,12 @@ from cloneabd.errors import InputError
 from cloneabd.formula import (App, Const, Literal, Var, balanced_tree,
                               encode_cnf, eval_formula, formula_mask,
                               free_vars, parse_formula, parse_literal,
-                              render_formula, replace_connectives,
+                              postorder, render_formula, replace_connectives,
                               substitute_map, table_of)
 from cloneabd.sat import sat_solve
-from cloneabd.truthtable import (AND, IDENTITY, MAJ3, NOT, OR, XOR, XOR3,
-                                 FunctionSet, TruthTable, row_assignment)
+from cloneabd.truthtable import (AND, CONST0, CONST1, IDENTITY, MAJ3, NOT, OR,
+                                 XOR, XOR3, FunctionSet, TruthTable,
+                                 row_assignment)
 
 from conftest import OR_AND, Deadline
 from test_acceptance import SOLVER_BASES
@@ -33,6 +34,29 @@ def test_parse_render_roundtrip():
         phi = parse_formula(text, FNS)
         assert render_formula(phi) == text
         assert render_formula(parse_formula(render_formula(phi), FNS)) == text
+
+
+NAMED = FunctionSet([AND, OR, NOT, XOR3, MAJ3, IDENTITY, CONST0, CONST1])
+
+
+def named_formulas(variables):
+    """Formulas over the connectives of NAMED, whose names parse back to
+    the same tables, and over the given variables and both constants."""
+    return st.recursive(
+        st.one_of(st.sampled_from(variables).map(Var),
+                  st.integers(0, 1).map(Const)),
+        lambda children: st.sampled_from(list(NAMED)).flatmap(
+            lambda fn: st.lists(children, min_size=fn.arity,
+                                max_size=fn.arity).map(
+                lambda args: App(fn, tuple(args)))),
+        max_leaves=8)
+
+
+@settings(derandomize=True, database=None, max_examples=150,
+          deadline=None)
+@given(named_formulas("xyz"))
+def test_render_then_parse_gives_the_formula_back(phi):
+    assert parse_formula(render_formula(phi), NAMED) == phi
 
 
 def test_parse_arity_mismatch():
@@ -73,6 +97,12 @@ def test_parse_unknown_connective():
     ("x\xa0y", "position 2: trailing input"),
     # a zero-width space is not whitespace, so it stays inside its token
     ("(and x\u200by)", "position 5: bad variable name 'x\\u200by'"),
+    # nesting deeper than any recursion limit still gets a located error
+    pytest.param("(or a " * 3000, "position 18000: missing ')'",
+                 id="3000-deep-missing-paren"),
+    pytest.param("(or " * 3000 + "(nand x y)" + " z)" * 3000,
+                 "position 12001: unknown connective 'nand'",
+                 id="3000-deep-unknown-connective"),
 ])
 def test_parse_error_names_its_position(text, message):
     with pytest.raises(InputError) as err:
@@ -150,6 +180,14 @@ def test_formula_mask_matches_eval_formula():
 def test_formula_mask_unassigned_variable():
     with pytest.raises(InputError, match="unassigned variable 'b'"):
         formula_mask(parse_formula("(and a b)", FNS), {"a": 1}, 0)
+    with pytest.raises(InputError, match="unassigned variable 'b'"):
+        eval_formula(parse_formula("(and a b)", FNS), {"a": 1})
+
+
+def test_postorder_puts_children_first_left_to_right():
+    phi, psi = (parse_formula(t, FNS) for t in ("(and x (not y))", "z"))
+    assert postorder(phi) == [Var("x"), Var("y"), phi.args[1], phi]
+    assert postorder([phi, psi]) == postorder(phi) + [psi]
 
 
 def test_balanced_tree_or():
