@@ -1,6 +1,8 @@
 """Abduction instances, explanation checking, the candidate scan
 (`explanation_hits`, which the general route and the brute-force oracle
 share), the constant-elimination transforms and the instance file format.
+Routes pass full explanations as canonical candidate indices, and
+`explanations_at` turns indices into `Explanation`s.
 
 An instance is (Gamma, A, psi): a knowledge base of formulas over a declared
 connective set, a set of hypothesis variables, and a manifestation which is a
@@ -284,29 +286,27 @@ def is_explanation(inst: AbductionInstance, e: Explanation,
 # ---------------------------------------------------------------------------
 # Canonical candidate order: hypothesis variables ascending; the candidate
 # index is read as a binary counter with the first variable most significant
-# and bit 0 mapping to the negative literal.
+# and bit 0 mapping to the negative literal.  Every route passes its full
+# explanations as these indices, in increasing order; `explanations_at` is
+# the one place that builds them.
 
-def literal_pairs(hypotheses: Sequence[str]
-                  ) -> list[tuple[Literal, Literal]]:
-    """Per hypothesis, its (negative, positive) literal: made once and read
-    by `explanation_at` for every candidate."""
-    return [(Literal(v, False), Literal(v, True)) for v in hypotheses]
-
-
-def explanation_at(pairs: Sequence[tuple[Literal, Literal]],
-                   index: int) -> Explanation:
-    """Candidate `index` over the hypotheses of `literal_pairs`."""
-    shift = len(pairs) - 1
-    return Explanation(tuple(pair[index >> (shift - j) & 1]
-                             for j, pair in enumerate(pairs)))
+def explanations_at(hypotheses: Sequence[str],
+                    indices: Iterable[int]) -> list[Explanation]:
+    """The candidates at `indices` over `hypotheses`, in the same order."""
+    pairs = [(Literal(v, False), Literal(v, True)) for v in hypotheses]
+    shifts = range(len(pairs) - 1, -1, -1)
+    return [Explanation(tuple(pair[index >> s & 1]
+                              for pair, s in zip(pairs, shifts)))
+            for index in indices]
 
 
 def candidate_explanation(hypotheses: Sequence[str], index: int) -> Explanation:
-    return explanation_at(literal_pairs(hypotheses), index)
+    return explanations_at(hypotheses, (index,))[0]
 
 
-def _oracle_hits(inst: AbductionInstance
-                 ) -> Iterator[tuple[int, Explanation]]:
+def oracle_hits(inst: AbductionInstance) -> Iterator[int]:
+    """The indices of the full explanations, by `explanation_hits` within
+    the oracle's caps."""
     if len(inst.hypotheses) > ORACLE_MAX_HYP:
         raise ResourceBudgetError(
             f"oracle limited to {ORACLE_MAX_HYP} hypotheses, "
@@ -318,12 +318,12 @@ def _oracle_hits(inst: AbductionInstance
     return explanation_hits(inst, None, "oracle")
 
 
-def first_hit(inst: AbductionInstance,
-              hits: Iterable[tuple[int, Explanation]],
+def first_hit(inst: AbductionInstance, indices: Iterable[int],
               method: str) -> SolveOutcome:
-    """A solve outcome from a scan's hits: the first one, which the scan's
-    test has checked, or none after every candidate."""
-    for index, e in hits:
+    """A solve outcome from a scan's hit indices: the first one, which the
+    scan's test has checked, or none after every candidate."""
+    for index in indices:
+        e = candidate_explanation(inst.hypotheses, index)
         return SolveOutcome(True, e, method, certificate_checked=True,
                             candidates_tried=index + 1)
     return SolveOutcome(False, None, method,
@@ -332,26 +332,24 @@ def first_hit(inst: AbductionInstance,
 
 def explanation_hits(inst: AbductionInstance, budget: int | None,
                      scan: str, test: ExplanationTest | None = None
-                     ) -> Iterator[tuple[int, Explanation]]:
-    """(index, candidate) for every full explanation, in canonical order:
-    the candidate scan.  Every candidate is decided on one `ExplanationTest`
+                     ) -> Iterator[int]:
+    """The index of every full explanation, in canonical order: the
+    candidate scan.  Every candidate is decided on one `ExplanationTest`
     (`test`, or a fresh one) by the same two questions as `is_explanation`,
     asked as assumption ids read from the index bits; a full candidate over
-    the hypotheses is valid by construction, and an `Explanation` is built
-    for hits only.  Reaching candidate `budget` raises ResourceBudgetError,
-    naming the `scan`."""
+    the hypotheses is valid by construction.  Reaching candidate `budget`
+    raises ResourceBudgetError, naming the `scan`."""
     test = test if test is not None else ExplanationTest(inst)
     hyp = inst.hypotheses
     n = len(hyp)
     bits = [(1 << (n - 1 - j), test.var_of[v]) for j, v in enumerate(hyp)]
-    pairs = literal_pairs(hyp)
     for index in range(1 << n):
         if budget is not None and index >= budget:
             raise ResourceBudgetError(
                 f"{scan} scan budget {budget} candidates exceeded")
         assumed = [v if index & bit else -v for bit, v in bits]
         if test.kb_sat(assumed) and test.entails(assumed):
-            yield index, explanation_at(pairs, index)
+            yield index
 
 
 def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
@@ -360,16 +358,16 @@ def oracle_solve(inst: AbductionInstance) -> SolveOutcome:
     Sound and complete for existence because every explanation extends to a
     full one.
     """
-    return first_hit(inst, _oracle_hits(inst), "oracle")
+    return first_hit(inst, oracle_hits(inst), "oracle")
 
 
 def oracle_count_full(inst: AbductionInstance) -> int:
-    return sum(1 for _ in _oracle_hits(inst))
+    return sum(1 for _ in oracle_hits(inst))
 
 
 def oracle_enumerate(inst: AbductionInstance) -> list[Explanation]:
     """All full explanations, in canonical candidate order."""
-    return [e for _, e in _oracle_hits(inst)]
+    return explanations_at(inst.hypotheses, oracle_hits(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -259,7 +259,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     text = serialize_instance(inst)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     if args.json:
         print(json.dumps({"instance": text, "sidecar": sidecar},
                          sort_keys=True))

@@ -156,14 +156,22 @@ def postorder(phi: Formula | Iterable[Formula]) -> list[Formula]:
 
 
 def render_formula(phi: Formula) -> str:
-    parts: list[str] = []
-    for f in postorder(phi):
-        if isinstance(f, App):
-            cut = len(parts) - f.fn.arity
-            parts[cut:] = ["(" + " ".join([f.fn.name, *parts[cut:]]) + ")"]
+    """phi as an s-expression, its tokens written once each in preorder
+    from an explicit stack: linear in the size of phi at any depth."""
+    out: list[str] = []
+    stack: list[Formula | str] = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            out.append(f)
+        elif isinstance(f, App):
+            out.append("(" + f.fn.name)
+            stack.append(")")
+            for arg in reversed(f.args):
+                stack += (arg, " ")
         else:
-            parts.append(f.name if isinstance(f, Var) else str(f.value))
-    return parts[0]
+            out.append(f.name if isinstance(f, Var) else str(f.value))
+    return "".join(out)
 
 
 def rebuild(phi: Formula,

@@ -27,13 +27,52 @@ Degree = float  # int >= 1, or INFINITE
 
 PARAMETRIC_FAMILIES = ("S0", "S1", "S00", "S01", "S02", "S10", "S11", "S12")
 
-NONPARAMETRIC_FAMILIES = (
-    "BF", "R0", "R1", "R2", "M", "M0", "M1", "M2",
-    "S0", "S1", "S00", "S01", "S02", "S10", "S11", "S12",
-    "D", "D1", "D2", "L", "L0", "L1", "L2", "L3",
-    "V", "V0", "V1", "V2", "E", "E0", "E1", "E2",
-    "N", "N2", "I", "I0", "I1", "I2",
-)
+# family -> (bool constraint names, separation side "s0"/"s1" or None);
+# parametric families get the concrete degree at CloneId level, the
+# non-parametric S-families mean "fully separating" (degree INFINITE).
+_FAMILY_DEFS: dict[str, tuple[tuple[str, ...], str | None]] = {
+    "BF": ((), None),
+    "R0": (("r0",), None),
+    "R1": (("r1",), None),
+    "R2": (("r0", "r1"), None),
+    "M": (("m",), None),
+    "M0": (("m", "r0"), None),
+    "M1": (("m", "r1"), None),
+    "M2": (("m", "r0", "r1"), None),
+    "S0": ((), "s0"),
+    "S1": ((), "s1"),
+    "S00": (("r0", "r1", "m"), "s0"),
+    "S01": (("m",), "s0"),
+    "S02": (("r0", "r1"), "s0"),
+    "S10": (("r0", "r1", "m"), "s1"),
+    "S11": (("m",), "s1"),
+    "S12": (("r0", "r1"), "s1"),
+    "D": (("d",), None),
+    "D1": (("d", "r0", "r1"), None),
+    "D2": (("d", "m"), None),
+    "L": (("l",), None),
+    "L0": (("l", "r0"), None),
+    "L1": (("l", "r1"), None),
+    "L2": (("l", "r0", "r1"), None),
+    "L3": (("l", "d"), None),
+    "V": (("v",), None),
+    "V0": (("v", "r0"), None),
+    "V1": (("v", "r1"), None),
+    "V2": (("v", "r0", "r1"), None),
+    "E": (("e",), None),
+    "E0": (("e", "r0"), None),
+    "E1": (("e", "r1"), None),
+    "E2": (("e", "r0", "r1"), None),
+    "N": (("n",), None),
+    "N2": (("n", "d"), None),
+    "I": (("i",), None),
+    "I0": (("i", "r0"), None),
+    "I1": (("i", "r1"), None),
+    "I2": (("i", "r0", "r1"), None),
+}
+
+# the order of `all_clone_ids`, and so of the tests parametrized by it
+NONPARAMETRIC_FAMILIES = tuple(_FAMILY_DEFS)
 
 
 @dataclass(frozen=True)
@@ -98,51 +137,6 @@ def signature_of(fns: FunctionSet) -> CloneRecord:
         s0 = min(s0, separating_degree(f, 0))
         s1 = min(s1, separating_degree(f, 1))
     return CloneRecord(bools, s0, s1)
-
-
-# family -> (bool constraint names, separation side "s0"/"s1" or None);
-# parametric families get the concrete degree at CloneId level, the
-# non-parametric S-families mean "fully separating" (degree INFINITE).
-_FAMILY_DEFS: dict[str, tuple[tuple[str, ...], str | None]] = {
-    "BF": ((), None),
-    "R0": (("r0",), None),
-    "R1": (("r1",), None),
-    "R2": (("r0", "r1"), None),
-    "M": (("m",), None),
-    "M0": (("m", "r0"), None),
-    "M1": (("m", "r1"), None),
-    "M2": (("m", "r0", "r1"), None),
-    "S0": ((), "s0"),
-    "S1": ((), "s1"),
-    "S02": (("r0", "r1"), "s0"),
-    "S01": (("m",), "s0"),
-    "S00": (("r0", "r1", "m"), "s0"),
-    "S12": (("r0", "r1"), "s1"),
-    "S11": (("m",), "s1"),
-    "S10": (("r0", "r1", "m"), "s1"),
-    "D": (("d",), None),
-    "D1": (("d", "r0", "r1"), None),
-    "D2": (("d", "m"), None),
-    "L": (("l",), None),
-    "L0": (("l", "r0"), None),
-    "L1": (("l", "r1"), None),
-    "L2": (("l", "r0", "r1"), None),
-    "L3": (("l", "d"), None),
-    "V": (("v",), None),
-    "V0": (("v", "r0"), None),
-    "V1": (("v", "r1"), None),
-    "V2": (("v", "r0", "r1"), None),
-    "E": (("e",), None),
-    "E0": (("e", "r0"), None),
-    "E1": (("e", "r1"), None),
-    "E2": (("e", "r0", "r1"), None),
-    "N": (("n",), None),
-    "N2": (("n", "d"), None),
-    "I": (("i",), None),
-    "I0": (("i", "r0"), None),
-    "I1": (("i", "r1"), None),
-    "I2": (("i", "r0", "r1"), None),
-}
 
 
 def constraints_of(clone: CloneId) -> CloneRecord:

@@ -8,12 +8,13 @@ brute-force oracle.  `route_of` picks the first entry whose
 `applies(clone, variant)` holds (never the oracle), and refuses a named
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `count(inst, budget)`, `count_label` (the count method the CLI reports) and
-`explanations(inst, budget)`, the full explanations in canonical order: the
-product of forced and free hypotheses for the literal route, the points of
-one coset outside another for the affine route (both sets are computed
-once per instance and also give the count), the set bits of candidate
-tables (counted by popcount) for the disjunctive and monotone routes, and
-the hits of `abduction.explanation_hits` for the general and oracle routes.
+`indices(inst, budget)`, the canonical indices of the full explanations in
+increasing order: the product of forced and free hypotheses for the literal
+route, the points of one coset outside another for the affine route (both
+sets are computed once per instance and also give the count), the set bits
+of candidate tables (counted by popcount) for the disjunctive and monotone
+routes, and the hits of `abduction.explanation_hits` for the general and
+oracle routes; `abduction.explanations_at` makes them explanations.
 The monotone route takes every table under its candidate budget; the
 disjunctive route walks a per-instance witness test over the leading
 hypotheses and takes one table below each prefix that the test admits, so
@@ -46,9 +47,9 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
-                        ExplanationTest, SolveOutcome, explanation_at,
-                        explanation_hits, first_hit, is_explanation,
-                        literal_pairs, oracle_count_full, oracle_enumerate,
+                        ExplanationTest, SolveOutcome, candidate_explanation,
+                        explanation_hits, explanations_at, first_hit,
+                        is_explanation, oracle_count_full, oracle_hits,
                         oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
 from .formula import (App, Formula, Literal, formula_mask, free_vars,
@@ -158,31 +159,20 @@ def solve_literal_kb(inst: AbductionInstance,
     return SolveOutcome(True, e, "literal-KB", certificate_checked=True)
 
 
-def _literal_choices(inst: AbductionInstance
-                     ) -> list[tuple[bool, ...]] | None:
-    """Per hypothesis, in order, the polarities a full explanation may give
-    it: the forced one, or both; None when the instance has no explanation.
-    The full explanations are exactly the products of these choices."""
+def _literal_choices(inst: AbductionInstance) -> list[tuple[int, ...]]:
+    """Per hypothesis, in order, what a full explanation may add to its
+    candidate index: the hypothesis's bit when forced true, 0 when forced
+    false, either when free; one empty choice when the instance has no
+    explanation.  The indices of the full explanations are the sums over
+    the product of these choices, which comes out in increasing order."""
     forced = _forced_literals(inst.kb)
     if not solve_literal_kb(inst, forced).found:
-        return None
+        return [()]
     assert isinstance(forced, dict)
-    return [(forced[v],) if v in forced else (False, True)
-            for v in inst.hypotheses]
-
-
-def _count_literal_kb(inst: AbductionInstance) -> int:
-    choices = _literal_choices(inst)
-    return 0 if choices is None else prod(len(c) for c in choices)
-
-
-def _literal_explanations(inst: AbductionInstance) -> list[Explanation]:
-    """The product of the choices, which comes out in canonical order."""
-    choices = _literal_choices(inst)
-    if choices is None:
-        return []
-    return [Explanation(tuple(map(Literal, inst.hypotheses, polarities)))
-            for polarities in product(*choices)]
+    hyp = inst.hypotheses
+    bits = (1 << (len(hyp) - 1 - j) for j in range(len(hyp)))
+    return [(b,) if forced.get(v) else (0,) if v in forced else (0, b)
+            for v, b in zip(hyp, bits)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +256,9 @@ def solve_disjunctive_kb(inst: AbductionInstance) -> SolveOutcome:
     x = _disjunctive_witness(inst)(())
     if x is None:
         return SolveOutcome(False, None, "V-witness")
-    e = Explanation(tuple(Literal(v, v not in x) for v in inst.hypotheses))
+    n = len(inst.hypotheses)
+    e = candidate_explanation(inst.hypotheses, sum(
+        1 << (n - 1 - j) for j, v in enumerate(inst.hypotheses) if v not in x))
     assert is_explanation(inst, e)
     return SolveOutcome(True, e, "V-witness", certificate_checked=True)
 
@@ -444,13 +436,12 @@ def _affine_cosets(inst: AbductionInstance, system: AffineSystem
     return base, _eliminate(extra, base)
 
 
-def _point_explanation(inst: AbductionInstance, system_cols: tuple[str, ...],
-                       point: int) -> Explanation:
-    split = len(system_cols) - len(inst.hypotheses)
-    lits = []
-    for j, v in enumerate(system_cols[split:], start=split):
-        lits.append(Literal(v, bool((point >> j) & 1)))
-    return Explanation(tuple(lits))
+def _point_index(inst: AbductionInstance, system: AffineSystem,
+                 point: int) -> int:
+    """The candidate index of a solution point: its hypothesis columns,
+    which come last, read with the first as the most significant bit."""
+    h = len(inst.hypotheses)
+    return int(format(point >> len(system.cols) - h, f"0{h}b")[::-1], 2)
 
 
 def solve_affine(inst: AbductionInstance) -> SolveOutcome:
@@ -465,7 +456,8 @@ def solve_affine(inst: AbductionInstance) -> SolveOutcome:
         assert new, "strictly smaller projection must add a constraint"
         lead, (mask, rhs) = new[0]
         a = {**a, lead: (mask, rhs ^ 1)}
-    e = _point_explanation(inst, system.cols, _particular_solution(a))
+    e = candidate_explanation(inst.hypotheses, _point_index(
+        inst, system, _particular_solution(a)))
     assert is_explanation(inst, e)
     return SolveOutcome(True, e, "affine", certificate_checked=True)
 
@@ -480,26 +472,24 @@ def count_affine(inst: AbductionInstance) -> int:
     return (1 << (h - len(a))) - (0 if b is None else 1 << (h - len(b)))
 
 
-def _affine_explanations(inst: AbductionInstance) -> list[Explanation]:
-    """The points of coset A outside coset B, in canonical order.  B has a
-    smaller dimension than A, so at least half of A's points are listed."""
+def _affine_indices(inst: AbductionInstance) -> list[int]:
+    """The indices of the points of coset A outside coset B, in increasing
+    order.  B has a smaller dimension than A, so at least half of A's
+    points are listed."""
     system = build_affine_system(inst)
     a, b = _affine_cosets(inst, system)
     if a is None:
         return []
     split = len(system.cols) - len(inst.hypotheses)
     free = [1 << j for j in range(split, len(system.cols)) if j not in a]
-    points = []
+    indices = []
     for bits in product((0, 1), repeat=len(free)):
         point = _particular_solution(a, sum(c for c, x in zip(free, bits)
                                             if x))
         if b is None or any(bin(mask & point).count("1") & 1 != rhs
                             for mask, rhs in b.values()):
-            points.append(point)
-    # canonical order reads the first hypothesis (column `split`) first
-    width = len(inst.hypotheses)
-    points.sort(key=lambda p: format(p >> split, f"0{width}b")[::-1])
-    return [_point_explanation(inst, system.cols, p) for p in points]
+            indices.append(_point_index(inst, system, point))
+    return sorted(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +572,14 @@ def _monotone_tables(inst: AbductionInstance, budget: int
     return tables()
 
 
-def _table_hits(inst: AbductionInstance, tables: Iterable[tuple[int, int]]
-                ) -> Iterator[tuple[int, Explanation]]:
-    """The set bits of candidate tables, in order, as (index, candidate)
-    hits."""
-    pairs = literal_pairs(inst.hypotheses)
+def _set_bits(tables: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """The candidate indices of the set bits of (start, table) pairs, in
+    order."""
     for start, table in tables:
         rows = bin(table)[:1:-1]
         i = rows.find("1")
         while i >= 0:
-            yield start + i, explanation_at(pairs, start + i)
+            yield start + i
             i = rows.find("1", i + 1)
 
 
@@ -600,7 +588,7 @@ def solve_monotone(inst: AbductionInstance,
     tables = _monotone_tables(inst, budget)
     if tables is None:
         return SolveOutcome(False, None, "monotone-scan")
-    out = first_hit(inst, _table_hits(inst, tables), "monotone-scan")
+    out = first_hit(inst, _set_bits(tables), "monotone-scan")
     assert not out.found or is_explanation(inst, out.explanation)
     return out
 
@@ -630,7 +618,7 @@ class Route:
     solve: Callable[[AbductionInstance, int], SolveOutcome]
     count: Callable[[AbductionInstance, int], int]
     count_label: str
-    explanations: Callable[[AbductionInstance, int], Iterable[Explanation]]
+    indices: Callable[[AbductionInstance, int], Iterable[int]]
 
 
 # First match wins, in this order.  The lambdas look every algorithm up by
@@ -639,41 +627,39 @@ ROUTES: dict[str, Route] = {
     "literal": Route(
         applies=lambda c, v: clone_leq(c, _E) or clone_leq(c, _N),
         solve=lambda i, b: solve_literal_kb(i),
-        count=lambda i, b: _count_literal_kb(i), count_label="literal-KB",
-        explanations=lambda i, b: _literal_explanations(i)),
+        count=lambda i, b: prod(map(len, _literal_choices(i))),
+        count_label="literal-KB",
+        indices=lambda i, b: map(sum, product(*_literal_choices(i)))),
     "disjunctive": Route(
         applies=lambda c, v: clone_leq(c, _V) and v in ("Q", "C", "F"),
         solve=lambda i, b: solve_disjunctive_kb(i),
         count=lambda i, b: sum(
             t.bit_count() for _, t in _disjunctive_tables(i)),
         count_label="V-witness",
-        explanations=lambda i, b: (e for _, e in _table_hits(
-            i, _disjunctive_tables(i)))),
+        indices=lambda i, b: _set_bits(_disjunctive_tables(i))),
     "affine": Route(
         applies=lambda c, v: clone_leq(c, _L),
         solve=lambda i, b: solve_affine(i),
         count=lambda i, b: count_affine(i), count_label="affine",
-        explanations=lambda i, b: _affine_explanations(i)),
+        indices=lambda i, b: _affine_indices(i)),
     "monotone": Route(
         applies=lambda c, v: clone_leq(c, _M) and v in ("Q", "C", "T"),
         solve=lambda i, b: solve_monotone(i, b),
         count=lambda i, b: sum(
             t.bit_count() for _, t in _monotone_tables(i, b) or ()),
         count_label="monotone-scan",
-        explanations=lambda i, b: (e for _, e in _table_hits(
-            i, _monotone_tables(i, b) or ()))),
+        indices=lambda i, b: _set_bits(_monotone_tables(i, b) or ())),
     "general": Route(
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
         count=lambda i, b: sum(1 for _ in explanation_hits(i, b, "general")),
         count_label="general-scan",
-        explanations=lambda i, b: (e for _, e in explanation_hits(
-            i, b, "general"))),
+        indices=lambda i, b: explanation_hits(i, b, "general")),
     "oracle": Route(
         applies=lambda c, v: False,
         solve=lambda i, b: oracle_solve(i),
         count=lambda i, b: oracle_count_full(i), count_label="oracle",
-        explanations=lambda i, b: oracle_enumerate(i)),
+        indices=lambda i, b: oracle_hits(i)),
 }
 
 
@@ -733,5 +719,7 @@ def count_full(inst: AbductionInstance, route: str | Route | None = None,
 def enumerate_full(inst: AbductionInstance, route: str | Route | None = None,
                    budget: int = DEFAULT_CANDIDATE_BUDGET
                    ) -> list[Explanation]:
-    """All full explanations in canonical order, as the route lists them."""
-    return list(_entry(inst, route).explanations(inst, budget))
+    """All full explanations in canonical order, from the route's
+    indices."""
+    return explanations_at(inst.hypotheses,
+                           _entry(inst, route).indices(inst, budget))

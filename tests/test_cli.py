@@ -129,8 +129,29 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-def test_missing_file_exit_code(capsys):
-    assert main(["identify", "/nonexistent/base.fns"]) == 2
+def test_missing_file_exit_code(tmp_path, capsys):
+    """Files that cannot be read or written are input errors: exit 2, no
+    output and one `error:` line, not a traceback."""
+    bad_text = tmp_path / "bad_text.txt"
+    bad_text.write_bytes(b"fn or 2 0111\nkb (or a \xff b)\nhyp a\nquery b\n")
+    bad_base = tmp_path / "bad_base.fns"
+    bad_base.write_bytes(b"fn or 2 0111\n# \xff\n")
+    base = tmp_path / "l2.fns"
+    base.write_text(L2_BASE)
+    cases = [
+        (["identify", "/nonexistent/base.fns"], "cannot read"),
+        (["identify", str(tmp_path)], "cannot read"),
+        (["solve", str(bad_text)], "cannot read"),
+        (["identify", str(bad_base)], "cannot read"),
+        (["generate", "--reduction", "linsys", "--base", str(base),
+          "--out", str(tmp_path / "missing" / "x.txt")], "cannot write"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith(f"error: {message} "), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_generate_linsys(tmp_path, capsys):

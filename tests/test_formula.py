@@ -127,6 +127,19 @@ def test_tokenizer_runs_in_linear_time():
     assert render_formula(phi) == text
 
 
+def test_render_runs_in_linear_time_in_depth():
+    # 40 000 levels of (not (and (not …) (not b))), 1.08 MB of text; a
+    # render that copies each level's text into its parent's is quadratic
+    # and took 8-12 s on a 2-core machine
+    text = "(not (and (not " * 40000 + "a" + "".join(
+        f") (not b{i % 3})))" for i in range(40000))
+    phi = parse_formula(text, FNS)
+    deadline = Deadline(2)
+    rendered = render_formula(phi)
+    deadline.check("render of a 40 000-level formula")
+    assert rendered == text
+
+
 def test_eval_formula():
     phi = parse_formula("(or (not a) (and b c))", FNS)
     assert eval_formula(phi, {"a": 0, "b": 0, "c": 0}) == 1

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from cloneabd import abduction, solvers
 from cloneabd.abduction import (EMPTY_EXPLANATION, AbductionInstance,
                                 Explanation, candidate_explanation,
-                                explanation_hits, first_hit, is_explanation,
-                                oracle_count_full, oracle_enumerate,
-                                oracle_solve, serialize_instance)
+                                explanation_hits, explanations_at, first_hit,
+                                is_explanation, oracle_count_full,
+                                oracle_enumerate, oracle_solve,
+                                serialize_instance)
 from cloneabd.cli import main
 from cloneabd.errors import CloneMismatchError, ResourceBudgetError
 from cloneabd.formula import (App, Const, Var, balanced_tree, parse_formula,
@@ -505,7 +506,8 @@ def test_monotone_tables_match_the_scan(monkeypatch, variant):
 
             want = (_or_budget_error(
                         lambda: outcome(first_hit(inst, scan(), "m"))),
-                    _or_budget_error(lambda: [e for _, e in scan()]))
+                    _or_budget_error(
+                        lambda: explanations_at(inst.hypotheses, scan())))
             got = (_or_budget_error(
                        lambda: outcome(solve_monotone(inst, budget))),
                    _or_budget_error(
