@@ -1,6 +1,7 @@
 """Abduction instances, explanation checking, the candidate scan
-(`explanation_hits`, which the general route and the brute-force oracle
-share), the constant-elimination transforms and the instance file format.
+(`explanation_hits`, which the brute-force oracle runs, and the general
+route above the variable count of one candidate table), the
+constant-elimination transforms and the instance file format.
 Routes pass full explanations as canonical candidate indices, and
 `explanations_at` turns indices into `Explanation`s.
 

@@ -211,8 +211,15 @@ def formula_mask(phi: Formula, masks: Mapping[str, int], m: int) -> int:
     """The arity-m table (an int mask, row i in bit i) of a formula whose
     variables are given as arity-m tables: every row evaluated at once,
     one `compose` per connective."""
+    return nodes_mask(postorder(phi), masks, m)
+
+
+def nodes_mask(nodes: Sequence[Formula], masks: Mapping[str, int],
+               m: int) -> int:
+    """`formula_mask` of the formula whose `postorder` list is `nodes`, for
+    a caller that reads that list for something else as well."""
     values: list[int] = []
-    for f in postorder(phi):
+    for f in nodes:
         if isinstance(f, App):
             cut = len(values) - f.fn.arity
             values[cut:] = [compose(f.fn, values[cut:], m)]

@@ -3,8 +3,9 @@
 `ROUTES` is one ordered table of routes: literal knowledge bases (conjunctive
 or essentially-unary connectives), disjunctive knowledge bases, affine
 knowledge bases (GF(2) systems), monotone knowledge bases (bit-parallel
-candidate tables), a general two-SAT-calls-per-candidate scan, and the
-brute-force oracle.  `route_of` picks the first entry whose
+candidate tables), the general route (one folded candidate table within
+_BLOCK_BITS variables, above that a scan with two or more SAT calls per
+candidate), and the brute-force oracle.  `route_of` picks the first entry whose
 `applies(clone, variant)` holds (never the oracle), and refuses a named
 route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 `count(inst, budget)`, `count_label` (the count method the CLI reports) and
@@ -12,14 +13,14 @@ route whose `applies` fails.  An entry also holds `solve(inst, budget)`,
 increasing order: the product of forced and free hypotheses for the literal
 route, the points of one coset outside another for the affine route (both
 sets are computed once per instance and also give the count), the set bits
-of candidate tables (counted by popcount) for the disjunctive and monotone
-routes, and the hits of `abduction.explanation_hits` for the general and
-oracle routes; `abduction.explanations_at` makes them explanations.
-The monotone route takes every table under its candidate budget; the
-disjunctive route walks a per-instance witness test over the leading
-hypotheses and takes one table below each prefix that the test admits, so
-it needs no budget.  The candidate budget bounds the monotone and general
-routes.  `solve`,
+of candidate tables (counted by popcount) for the disjunctive, monotone and
+general routes, and the hits of `abduction.explanation_hits` for the
+general route above the table cap and for the oracle;
+`abduction.explanations_at` makes them explanations.  The monotone and
+general routes take every table under their candidate budget, which
+`_within_budget` cuts as a scan would stop; the disjunctive route walks a
+per-instance witness test over the leading hypotheses and takes one table
+below each prefix that the test admits, so it needs no budget.  `solve`,
 `count_full` and `enumerate_full` take a route name, checked by
 `route_of`, or an entry `route_of` already resolved, and default to the
 clone's route.
@@ -52,7 +53,7 @@ from .abduction import (EMPTY_EXPLANATION, AbductionInstance, Explanation,
                         is_explanation, oracle_count_full, oracle_hits,
                         oracle_solve)
 from .errors import CloneMismatchError, ResourceBudgetError
-from .formula import (App, Formula, Literal, formula_mask, free_vars,
+from .formula import (App, Formula, Literal, Var, formula_mask, nodes_mask,
                       postorder)
 from .truthtable import (PROPERTY_NAMES, function_properties,
                          projection_mask)
@@ -81,12 +82,14 @@ def _flips(phi: Formula, base: int) -> tuple[int, list[str]]:
     """phi's value at the point that sets every variable to `base`, and its
     variables (sorted) whose flip alone changes that value: one
     `formula_mask` over n+1 rows, row 0 the point and row j+1 the point with
-    variable j flipped.  Within E, N, V or L these fix phi."""
-    variables = free_vars(phi)
+    variable j flipped.  Within E, N, V or L these fix phi.  The variables
+    are read off the node list that the evaluation walks."""
+    nodes = postorder(phi)
+    variables = sorted({f.name for f in nodes if isinstance(f, Var)})
     m = len(variables).bit_length()  # 2^m >= n+1 rows
     full = (1 << (1 << m)) - 1
     point = full if base else 0
-    table = formula_mask(phi, {v: point ^ (2 << j)
+    table = nodes_mask(nodes, {v: point ^ (2 << j)
                                for j, v in enumerate(variables)}, m)
     value = table & 1
     changed = table ^ (full if value else 0)
@@ -540,36 +543,41 @@ def _table_blocks(inst: AbductionInstance, atoms: Sequence[Iterable[str]],
     return block
 
 
+def _within_budget(block: Callable[[int], int], h: int, m: int,
+                   budget: int, scan: str) -> Iterator[tuple[int, int]]:
+    """(start, block(start >> m)) per block of 2^m of the 2^h candidates, in
+    canonical order, as a scan would see them that stops on reaching
+    candidate `budget`: blocks from there on are not made, bits from there
+    on are cleared, and ResourceBudgetError naming the `scan` follows the
+    last block if that candidate exists."""
+    for start in range(0, min(1 << h, budget), 1 << m):
+        table = block(start >> m)
+        if budget - start < 1 << m:
+            table &= (1 << (budget - start)) - 1
+        yield start, table
+    if budget < 1 << h:
+        raise ResourceBudgetError(
+            f"{scan} scan budget {budget} candidates exceeded")
+
+
 def _monotone_tables(inst: AbductionInstance, budget: int
                      ) -> Iterator[tuple[int, int]] | None:
     """(start, table) per block of candidates in canonical order, bit i set
     iff candidate start + i is a full explanation (`_table_blocks`); None
     when the manifestation rules out every candidate, which is when one of
     its clauses has no positive atom: a satisfiable monotone KB extension
-    never entails such a clause.  Like a scan that stops on reaching
-    candidate `budget`, bits from `budget` on are cleared and
-    ResourceBudgetError follows the last block if that candidate exists."""
+    never entails such a clause.  The candidate budget cuts the blocks as
+    in `_within_budget`."""
     if inst.variant == "F":
         raise CloneMismatchError(
             "monotone scan handles literal, clause and term manifestations")
     atoms = _positive_atoms(inst)
     if not all(atoms):
         return None
-    hyp = inst.hypotheses
-    m = min(len(hyp), _BLOCK_BITS)
-    block = _table_blocks(inst, atoms, m)
-
-    def tables() -> Iterator[tuple[int, int]]:
-        for start in range(0, min(1 << len(hyp), budget), 1 << m):
-            table = block(start >> m)
-            if budget - start < 1 << m:
-                table &= (1 << (budget - start)) - 1
-            yield start, table
-        if budget < 1 << len(hyp):
-            raise ResourceBudgetError(
-                f"monotone scan budget {budget} candidates exceeded")
-
-    return tables()
+    h = len(inst.hypotheses)
+    m = min(h, _BLOCK_BITS)
+    return _within_budget(_table_blocks(inst, atoms, m), h, m, budget,
+                          "monotone")
 
 
 def _set_bits(tables: Iterable[tuple[int, int]]) -> Iterator[int]:
@@ -594,16 +602,76 @@ def solve_monotone(inst: AbductionInstance,
 
 
 # ---------------------------------------------------------------------------
-# General scan (two SAT calls per candidate, on one per-instance encoding)
+# General route: one folded table within _BLOCK_BITS variables, and above
+# that the candidate scan (two SAT calls per candidate, on one per-instance
+# encoding)
+
+def _general_table(inst: AbductionInstance) -> int:
+    """Bit i set iff candidate i is a full explanation, from one table of
+    the knowledge base over every variable: the k non-hypothesis variables
+    lead and the hypotheses come last, so the low bits of a row are its
+    candidate index.  Folding k times, each time OR-ing the upper half of
+    the table onto the lower one, keeps bit i iff some row of candidate i
+    is set.  So Gamma folds to the consistent candidates, and Gamma with a
+    manifestation clause false (psi for variant F) to those that do not
+    entail that clause (Knuth, TAOCP 4A, 7.1.2)."""
+    hyp = inst.hypotheses
+    leading = set(inst.variables).difference(hyp)
+    order = [v for v in inst.variables if v in leading] + list(hyp)
+    n = len(order)
+    halves = [1 << j for j in range(n - 1, len(hyp) - 1, -1)]
+    masks = {v: projection_mask(j, n) for j, v in enumerate(order)}
+    kb = _kb_mask(inst, masks, n)
+
+    def fold(rows: int) -> int:
+        for half in halves:
+            rows = rows >> half | rows & (1 << half) - 1
+        return rows
+
+    def refutations() -> Iterator[int]:
+        """The rows where Gamma holds and a manifestation clause fails (psi
+        for variant F), one clause at a time."""
+        if inst.variant == "F":
+            yield kb & ~formula_mask(inst.manifestation, masks, n)
+            return
+        for clause in inst.manifestation_clauses:
+            rows = kb
+            for l in clause:
+                rows &= ~masks[l.var] if l.positive else masks[l.var]
+            yield rows
+
+    table = fold(kb)
+    for rows in refutations():
+        if not table:
+            break
+        table &= ~fold(rows)
+    return table
+
+
+def _general_tables(inst: AbductionInstance, budget: int,
+                    test: ExplanationTest | None = None
+                    ) -> Iterator[tuple[int, int]]:
+    """(start, table) pairs of the full explanations under the candidate
+    budget: within _BLOCK_BITS variables the one `_general_table`, as
+    `_within_budget` cuts it; above, each hit of the candidate scan (on
+    `test`, or a fresh one) as a one-bit table at its index."""
+    if len(inst.variables) > _BLOCK_BITS:
+        return ((i, 1) for i in explanation_hits(inst, budget, "general",
+                                                 test))
+    h = len(inst.hypotheses)
+    return _within_budget(lambda lead: _general_table(inst), h, h, budget,
+                          "general")
+
 
 def solve_general(inst: AbductionInstance,
                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> SolveOutcome:
-    test = ExplanationTest(inst)
-    out = first_hit(inst, explanation_hits(inst, budget, "general", test),
+    test = (ExplanationTest(inst) if len(inst.variables) > _BLOCK_BITS
+            else None)
+    out = first_hit(inst, _set_bits(_general_tables(inst, budget, test)),
                     "general-scan")
-    # re-decided on solvers built afresh from the scan's clauses
+    # re-decided on SAT, on solvers that the scan (if any) never asked
     assert not out.found or is_explanation(inst, out.explanation,
-                                           test.fresh())
+                                           test and test.fresh())
     return out
 
 
@@ -652,9 +720,10 @@ ROUTES: dict[str, Route] = {
     "general": Route(
         applies=lambda c, v: True,
         solve=lambda i, b: solve_general(i, b),
-        count=lambda i, b: sum(1 for _ in explanation_hits(i, b, "general")),
+        count=lambda i, b: sum(
+            t.bit_count() for _, t in _general_tables(i, b)),
         count_label="general-scan",
-        indices=lambda i, b: explanation_hits(i, b, "general")),
+        indices=lambda i, b: _set_bits(_general_tables(i, b))),
     "oracle": Route(
         applies=lambda c, v: False,
         solve=lambda i, b: oracle_solve(i),

@@ -4,6 +4,7 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloneabd import abduction, solvers
+from cloneabd import abduction, formula, sat, solvers
 from cloneabd.abduction import (EMPTY_EXPLANATION, AbductionInstance,
                                 Explanation, candidate_explanation,
                                 explanation_hits, explanations_at, first_hit,
@@ -321,6 +322,22 @@ def test_flip_reading_matches_the_table(cls):
         assert read == table, [render_formula(phi) for phi in kb]
 
 
+def test_flip_reading_walks_a_formula_once(monkeypatch):
+    """`_flips` reads the variables off the node list that it evaluates."""
+    walks = []
+    real_postorder = formula.postorder
+
+    def counting_postorder(phi):
+        walks.append(phi)
+        return real_postorder(phi)
+
+    monkeypatch.setattr(formula, "postorder", counting_postorder)
+    monkeypatch.setattr(solvers, "postorder", counting_postorder)
+    phi = parse_formula("(or c (or a (or b c)))", FunctionSet([OR]))
+    assert solvers._flips(phi, 0) == (0, ["a", "b", "c"])
+    assert walks == [phi]
+
+
 # route: (connective, number of full explanations)
 WIDE = {"affine": (XOR3, 2), "disjunctive": (OR, 2), "literal": (AND, 1)}
 
@@ -538,10 +555,23 @@ def test_general_count_beyond_oracle_scale(tmp_path, capsys):
         "full explanations: 1 (method general-scan)\n")
 
 
+def _beyond_one_table(inst):
+    """inst with unit formulas w0, w1, ... over fresh variables, which
+    leave its explanations as they are, until it has more variables than
+    one general-route table takes, so that the route scans on SAT."""
+    extra = solvers._BLOCK_BITS + 1 - len(inst.variables)
+    wide = replace(inst, kb=inst.kb + tuple(Var(f"w{i}")
+                                            for i in range(extra)))
+    assert len(wide.variables) == solvers._BLOCK_BITS + 1
+    return wide
+
+
 @pytest.mark.parametrize("variant", "QCTF")
 def test_general_answer_rechecked_on_fresh_solvers(monkeypatch, variant):
     """A found general-route answer is decided again by `is_explanation`,
-    through `sat_solve`, on solvers that the scan never asked."""
+    through `sat_solve`, on solvers that the scan never asked.  The
+    instances have too many variables for one table, so the scan runs on
+    SAT."""
     asked = {"scan": set(), "re-check": set()}
     phase = ["scan"]
     real_sat_solve = abduction.sat_solve
@@ -559,8 +589,9 @@ def test_general_answer_rechecked_on_fresh_solvers(monkeypatch, variant):
     monkeypatch.setattr(solvers, "is_explanation", recheck)
     found = 0
     for seed in range(8):
-        inst = gen_random_instance(seed, FunctionSet([AND, NOT]),
-                                   num_vars=6, num_hyp=3, variant=variant)
+        inst = _beyond_one_table(gen_random_instance(
+            seed, FunctionSet([AND, NOT]), num_vars=6, num_hyp=3,
+            variant=variant))
         asked["scan"].clear()
         asked["re-check"].clear()
         phase[0] = "scan"
@@ -650,6 +681,147 @@ def test_routes_agree_with_the_independent_checker(key, data):
         assert out.found == bool(want), route
         assert not out.found or CHECKER.is_explanation(
             expected, out.explanation.serialize()), route
+
+
+def _solvers_built(monkeypatch):
+    """A list that gets one entry per `sat.Solver` built from now on."""
+    built = []
+    real_init = sat.Solver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sat.Solver, "__init__", counting_init)
+    return built
+
+
+def _general_text(seed, n, key):
+    """An instance over exactly n variables: two to five hypotheses h1..,
+    p and q, and fillers x1..; two random tables of arity up to 3; KB
+    formulas of depth 2 over the hypotheses with p and q, then over the
+    hypotheses with the fillers, until each of them occurs; and a
+    manifestation line `key` over p and q."""
+    rng = random.Random(f"{seed}-{n}-{key}")
+    tables = [(f"t{j}", arity, format(rng.getrandbits(1 << arity),
+                                      f"0{1 << arity}b"))
+              for j, arity in enumerate((rng.randint(2, 3),
+                                         rng.randint(1, 3)))]
+    hyps = [f"h{i}" for i in range(1, rng.randint(2, 5) + 1)]
+    pending = []
+
+    def formula(variables, depth):
+        if depth == 0 or rng.random() < 0.25:
+            return pending.pop() if pending else rng.choice(variables)
+        name, arity, _ = rng.choice(tables)
+        return "(" + " ".join([name] + [formula(variables, depth - 1)
+                                        for _ in range(arity)]) + ")"
+
+    lines = [f"fn {name} {arity} {bits}" for name, arity, bits in tables]
+    fillers = [f"x{i}" for i in range(1, n - len(hyps) - 1)]
+    for group in (["p", "q"], fillers):
+        pending = group[:]
+        rng.shuffle(pending)
+        while pending:
+            lines.append(f"kb {formula(hyps + group, 2)}")
+    lines.append(" ".join(["hyp", *hyps]))
+    if key == "qformula":
+        lines.append(f"qformula {formula(['p', 'q'], 2)}")
+    else:
+        lits = [rng.choice(["", "!"]) + rng.choice("pq")
+                for _ in range(1 if key == "query" else rng.randint(1, 3))]
+        lines.append(" ".join([key, *lits]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_general_route_agrees_with_the_checker_at_the_table_cap(
+        monkeypatch, n):
+    """On both sides of the cap of one general-route table (16 variables),
+    with the four variants and random bases: solve, count and enumerate on
+    the general route and on auto agree with the independent checker.  A
+    general count builds no SAT solver within the cap and scans on SAT
+    above it."""
+    built = _solvers_built(monkeypatch)
+    partial = 0
+    for key in ("query", "clause", "term", "qformula"):
+        for seed in range(4):
+            text = _general_text(seed, n, key)
+            inst = abduction.parse_instance(text)
+            assert len(inst.variables) == n
+            expected = CHECKER.parse_instance(text)
+            want = [CHECKER.candidate_text(expected.hypotheses, i)
+                    for i in CHECKER.full_explanations(expected)]
+            partial += 0 < len(want) < 1 << len(inst.hypotheses)
+            built.clear()
+            assert count_full(inst, "general") == len(want), text
+            assert bool(built) == (n > solvers._BLOCK_BITS)
+            for route in ("general", None):
+                assert count_full(inst, route) == len(want), (route, text)
+                assert [e.serialize() for e in enumerate_full(
+                    inst, route)] == want, (route, text)
+                out = solve(inst, route=route)
+                assert out.found == bool(want), (route, text)
+                assert not out.found or CHECKER.is_explanation(
+                    expected, out.explanation.serialize()), (route, text)
+    assert partial  # some candidates explain and some do not
+
+
+def _general_instances():
+    """Random instances within one general-route table, over four
+    bases and the four variants."""
+    for fns in ([AND, NOT], [ANDNOT], [MAJ3, NOT], [XOR, AND]):
+        for variant in "QCTF":
+            for seed in range(4):
+                yield gen_random_instance(seed, FunctionSet(fns),
+                                          num_vars=7, num_formulas=3,
+                                          num_hyp=4, variant=variant)
+
+
+def test_general_table_budget_matches_the_scan():
+    """Within the cap, solve, count and enumerate on the general route give
+    the candidate scan's `found`, explanation, `candidatesTried` and
+    budget error at budgets 0, 1, the first hit's index and the next one,
+    2^h - 1 and 2^h."""
+    for inst in _general_instances():
+        assert len(inst.variables) <= solvers._BLOCK_BITS
+        size = 1 << len(inst.hypotheses)
+        first = next(explanation_hits(inst, None, "general"), size)
+        for budget in sorted({0, 1, first, first + 1, size - 1, size}):
+            def scan():
+                return explanation_hits(inst, budget, "general")
+
+            def outcome(out):
+                return out.found, out.explanation, out.candidates_tried
+
+            want = (_or_budget_error(lambda: outcome(
+                        first_hit(inst, scan(), "general-scan"))),
+                    _or_budget_error(lambda: len(list(scan()))),
+                    _or_budget_error(
+                        lambda: explanations_at(inst.hypotheses, scan())))
+            got = (_or_budget_error(
+                       lambda: outcome(solve_general(inst, budget))),
+                   _or_budget_error(
+                       lambda: count_full(inst, "general", budget)),
+                   _or_budget_error(
+                       lambda: enumerate_full(inst, "general", budget)))
+            assert got == want, (serialize_instance(inst), budget)
+
+
+def test_general_tables_build_one_solver_for_the_recheck(monkeypatch):
+    """Within the cap, a general count or enumeration builds no SAT solver,
+    and a general solve builds only the one that re-checks its answer."""
+    built = _solvers_built(monkeypatch)
+    found = 0
+    for inst in _general_instances():
+        built.clear()
+        count_full(inst, "general")
+        enumerate_full(inst, "general")
+        assert not built
+        out = solve_general(inst)
+        assert len(built) == out.found
+        found += out.found
+    assert found
 
 
 # Disjunctive bases, with the constant tables that V0, V1 and V allow.
