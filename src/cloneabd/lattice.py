@@ -19,9 +19,9 @@ from .formula import App, Formula, Var, table_of
 from .truthtable import (AND, ANDNOT, CLOSURE_MAX_ARITY, CONST0, CONST1,
                          IDENTITY, IMPLIES, INFINITE, MAJ3, NOT, OR,
                          OR_AND, PROPERTY_NAMES, XNOR, XOR, XOR3, FunctionSet,
-                         TruthTable, dual_fn, fresh_compositions,
-                         function_properties, projection_mask,
-                         separating_degree, table_to_mask)
+                         TruthTable, cofactor_rows, commutative, dual_fn,
+                         fresh_compositions, function_properties,
+                         projection_mask, separating_degree, table_to_mask)
 
 Degree = float  # int >= 1, or INFINITE
 
@@ -458,21 +458,30 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
     first (size, then rendered text), so the first representation found is
     the canonical one.  Each settled table composes, through
     `fresh_compositions`, only the argument tuples that hold it beside
-    tables settled before, and pushes those whose table is not settled and
-    whose size is no larger than the least one pushed for that table (pops
-    only grow, so the least entry, the witness, is the same).  `budget`
+    tables settled before, and of those only the ones whose table is not
+    settled and whose size is no larger than the least one pushed for that
+    table (pops only grow, so the least entry, the witness, is the same);
+    the others are dropped inside the fold, before any tuple or text is
+    built.  A commutative connective composes each pair of tables in one
+    orientation and pushes the one whose argument texts compare smaller:
+    both have the same table and size, and as no witness text is a proper
+    prefix of another (each is a variable x1..x4 or a balanced
+    s-expression), the argument texts order the two whole texts.  `budget`
     bounds the number of argument tuples composed: (n+1)^k - n^k per
-    settled table and connective of arity k, with n tables settled before.
-    Variables are named x1..xn positionally.
+    settled table and connective of arity k, with n tables settled before,
+    mirrored tuples included, so a budget error fires where it did when
+    every tuple was composed.  Variables are named x1..xn positionally.
     """
     m = target.arity
     if m > CLOSURE_MAX_ARITY:
         raise UnsupportedError(
             f"synthesis capped at arity {CLOSURE_MAX_ARITY}, target has {m}")
     target_mask = table_to_mask(target)
+    plans = [(f, cofactor_rows(f, m), commutative(f)) for f in fns]
 
-    # mask -> (size, rendered text, formula) of its settled witness
-    settled: dict[int, tuple[int, str, Formula]] = {}
+    # mask -> (rendered text, formula) of its settled witness
+    settled: dict[int, tuple[str, Formula]] = {}
+    order: list[tuple[int, int]] = []  # (mask, size), in settling order
     heap: list[tuple[int, str, int, Formula]] = [
         (1, f"x{j + 1}", projection_mask(j, m), Var(f"x{j + 1}"))
         for j in range(m)]
@@ -481,35 +490,37 @@ def synthesize_representation(fns: FunctionSet, target: TruthTable,
             cmask = ((1 << (1 << m)) - 1) if f.bits[0] else 0
             heap.append((1, f"({f.name})", cmask, App(f, ())))
     heapq.heapify(heap)
-    least = {mask: size for size, _, mask, _ in heap}  # least size pushed
+    # least size pushed per table; 0 once settled, so nothing passes
+    least = {mask: size for size, _, mask, _ in heap}
     expansions = 0
     while heap:
         size, text, mask, phi = heapq.heappop(heap)
         if mask in settled:
             continue
-        old = list(settled)
-        settled[mask] = (size, text, phi)
+        settled[mask] = (text, phi)
+        least[mask] = 0
         if mask == target_mask:
             check = table_of(phi, [f"x{j + 1}" for j in range(m)])
             assert check.bits == target.bits, "synthesized witness re-check failed"
             return phi
-        n = len(old)
-        for f in fns:
+        n = len(order)
+        new = ((mask, size),)
+        for f, rows, mirror in plans:
             expansions += (n + 1) ** f.arity - n ** f.arity
             if expansions > budget:
                 raise ResourceBudgetError(
                     f"synthesis budget {budget} exceeded")
-            for combo, new_mask in fresh_compositions(f, old, (mask,), m,
-                                                      settled):
+            for combo, new_mask, new_size in fresh_compositions(
+                    rows, order, new, least):
                 args = [settled[c] for c in combo]
-                new_size = 1 + sum(a[0] for a in args)
-                if new_size > least.get(new_mask, new_size):
-                    continue
+                if mirror and args[1][0] < args[0][0]:
+                    args.reverse()
                 least[new_mask] = new_size
                 heapq.heappush(heap, (
                     new_size,
-                    "(" + " ".join([f.name] + [a[1] for a in args]) + ")",
-                    new_mask, App(f, tuple(a[2] for a in args))))
+                    "(" + " ".join([f.name] + [a[0] for a in args]) + ")",
+                    new_mask, App(f, tuple(a[1] for a in args))))
+        order.append(new[0])
     raise NoRepresentationError(
         f"{target.name!r} is not generated by the given connectives at "
         f"arity {m}")

@@ -10,10 +10,11 @@ everywhere (files, closure, synthesis).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceBudgetError
 
@@ -299,28 +300,25 @@ def table_to_mask(f: TruthTable) -> int:
     return mask
 
 
-def fresh_compositions(f: TruthTable, old: Collection[int],
-                       new: Collection[int], m: int, known: Collection[int]
-                       ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(tuple, compose(f, tuple, m)) for every k-tuple over the disjoint
-    masks `old` and `new` that holds a member of `new`, each once, whose
-    composition is not in `known`: the step of semi-naive evaluation.  A
-    tuple is generated at its first `new` position i alone: positions
-    before i take `old` masks and positions after i any mask.
+_NO_BOUND = sys.maxsize  # the size bound of a table absent from `bound`
 
-    f is evaluated by Shannon cofactor folding (Knuth, TAOCP 4A, 7.1.2):
-    from the 2^k masks of its rows, each `full` or 0, fixing the leading
-    argument to the mask c maps every cofactor pair (g0, g1) to
-    g0 ^ ((g0 ^ g1) & c).  Argument i is folded first, through f's rows
-    permuted to put it in front, so the innermost argument costs one
-    `g0 ^ (d & c)` and one `known` test per tuple, and a tuple is built
-    only for a composition that is not known."""
+
+def commutative(f: TruthTable) -> bool:
+    """f is binary and symmetric: f(a, b) = f(b, a) for all a, b."""
+    return f.arity == 2 and f.bits[1] == f.bits[2]
+
+
+def cofactor_rows(f: TruthTable, m: int) -> list[list[int]]:
+    """f's rows as arity-m masks (each `full` or 0), once for each argument
+    position i that may hold the first new mask of a tuple in
+    `fresh_compositions`, permuted to put argument i in front: row r in
+    that order is f's row with the top i+1 bits of r rotated left by one.
+    A commutative f gets position 0 alone, since the mirror of a tuple has
+    the same composition."""
     k = f.arity
     full = (1 << (1 << m)) - 1
-    every = [*old, *new]
-    for i in range(k):
-        # fold order: argument i, then the others in place; row r in that
-        # order is f's row with the top i+1 bits of r rotated left by one
+    rows = []
+    for i in range(1 if commutative(f) else k):
         rest = k - 1 - i  # the arguments after i
         cofactors = []
         for r in range(1 << k):
@@ -328,31 +326,64 @@ def fresh_compositions(f: TruthTable, old: Collection[int],
             row = ((top << 1 | top >> i) & ((2 << i) - 1)) << rest \
                 | r & ((1 << rest) - 1)
             cofactors.append(full if f.bits[row] else 0)
+        rows.append(cofactors)
+    return rows
+
+
+def fresh_compositions(rows: Sequence[list[int]],
+                       old: Sequence[tuple[int, int]],
+                       new: Sequence[tuple[int, int]],
+                       bound: Mapping[int, int]
+                       ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(tuple, composition, size) for the k-tuples over the disjoint
+    (mask, size) pairs `old` and `new` that hold a member of `new`, each
+    once, where f's `cofactor_rows` are `rows`: the step of semi-naive
+    evaluation.  A tuple's size is 1 plus its arguments' sizes; it is made
+    only when that size is at most `bound` of its composition (any size
+    where the composition has no bound, none where the bound is 0).
+    `bound` is read as the tuples are made, so a caller may lower it
+    between them.  A tuple is made at its first `new` position i alone:
+    positions before i take `old` masks and positions after i any mask.
+    For a commutative f only position 0 is folded, so of a tuple
+    (old, new) only its mirror (new, old) is made.
+
+    f is evaluated by Shannon cofactor folding (Knuth, TAOCP 4A, 7.1.2):
+    from the 2^k masks of its rows, each `full` or 0, fixing the leading
+    argument to the mask c maps every cofactor pair (g0, g1) to
+    g0 ^ ((g0 ^ g1) & c).  Argument i is folded first, through the rows
+    permuted to put it in front, so the innermost argument costs one
+    `g0 ^ (d & c)` and one `bound` lookup per tuple, and a tuple is built
+    only when it passes."""
+    every = [*old, *new]
+    for i, cofactors in enumerate(rows):
+        k = len(cofactors).bit_length() - 1
+        rest = k - 1 - i  # the arguments after i
         pools = (new, *[old] * i, *[every] * rest)
-        for chosen, mask in _folded(cofactors, pools, known, ()):
-            yield (*chosen[1:i + 1], chosen[0], *chosen[i + 1:]), mask
+        for chosen, mask, size in _folded(cofactors, pools, bound, (), 1):
+            yield (*chosen[1:i + 1], chosen[0], *chosen[i + 1:]), mask, size
 
 
-def _folded(cofactors: list[int], pools: Sequence[Collection[int]],
-            known: Collection[int], chosen: tuple[int, ...]
-            ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The unknown compositions of `fresh_compositions`, with their
+def _folded(cofactors: list[int], pools: Sequence[Sequence[tuple[int, int]]],
+            bound: Mapping[int, int], chosen: tuple[int, ...], size: int
+            ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The passing compositions of `fresh_compositions`, with their
     arguments in fold order, given the cofactors left after folding
-    `chosen`."""
+    `chosen`, whose sizes add up to `size` - 1."""
     half = len(cofactors) >> 1
     low = cofactors[:half]
     diffs = [g0 ^ g1 for g0, g1 in zip(low, cofactors[half:])]
     pool = pools[len(chosen)]
     if half == 1:
         g0, d = low[0], diffs[0]
-        for c in pool:
+        limit = bound.get
+        for c, s in pool:
             mask = g0 ^ (d & c)
-            if mask not in known:
-                yield (*chosen, c), mask
+            if limit(mask, _NO_BOUND) >= size + s:
+                yield (*chosen, c), mask, size + s
         return
-    for c in pool:  # recurses once per argument: arity <= MAX_ARITY deep
+    for c, s in pool:  # recurses once per argument: arity <= MAX_ARITY deep
         yield from _folded([g0 ^ (d & c) for g0, d in zip(low, diffs)],
-                           pools, known, (*chosen, c))
+                           pools, bound, (*chosen, c), size + s)
 
 
 def clone_closure_masks(fns: FunctionSet, m: int,
@@ -367,26 +398,31 @@ def clone_closure_masks(fns: FunctionSet, m: int,
     if m > CLOSURE_MAX_ARITY:
         raise InputError(
             f"closure arity {m} exceeds oracle cap {CLOSURE_MAX_ARITY}")
-    known: set[int] = {projection_mask(j, m) for j in range(m)}
-    frontier: set[int] = set(known)
+    rows = [cofactor_rows(f, m) for f in fns]
+    # every known mask has bound 0: no composition onto it is made again
+    known = dict.fromkeys((projection_mask(j, m) for j in range(m)), 0)
+    frontier = list(known)
     while frontier:
-        old = known - frontier
-        new: set[int] = set()
-        for f in fns:
+        fresh = set(frontier)
+        old = [(mask, 0) for mask in known if mask not in fresh]
+        pairs = [(mask, 0) for mask in frontier]
+        new: list[int] = []
+        for f, f_rows in zip(fns, rows):
             if f.arity == 0:
                 # arity-0 constant lifted to arity m
-                mask = ((1 << (1 << m)) - 1) if f.bits[0] else 0
+                found = [((1 << (1 << m)) - 1) if f.bits[0] else 0]
+            else:
+                found = (mask for _, mask, _ in
+                         fresh_compositions(f_rows, old, pairs, known))
+            for mask in found:
                 if mask not in known:
-                    new.add(mask)
-                continue
-            new.update(mask for _, mask in
-                       fresh_compositions(f, old, frontier, m, known))
-        known |= new
+                    known[mask] = 0
+                    new.append(mask)
         frontier = new
         if budget is not None and len(known) > budget:
             raise ResourceBudgetError(
                 f"closure exceeded budget of {budget} tables")
-    return known
+    return set(known)
 
 
 def clone_closure(fns: FunctionSet, m: int) -> list[TruthTable]:

@@ -12,6 +12,19 @@ OR_AND = TruthTable("or_and", 3, (0, 0, 0, 1, 1, 1, 1, 1))  # x or (y and z)
 AND_OR = TruthTable("and_or", 3, (0, 0, 0, 0, 0, 1, 1, 1))  # x and (y or z)
 
 
+def random_connectives(rng, arities):
+    """One to three random tables f0, f1, ... of arities drawn from
+    `arities`; half of the binary ones are commutative."""
+    fns = []
+    for j in range(rng.randint(1, 3)):
+        k = rng.choice(arities)
+        bits = [rng.getrandbits(1) for _ in range(1 << k)]
+        if k == 2 and rng.random() < 0.5:
+            bits[2] = bits[1]
+        fns.append(TruthTable(f"f{j}", k, tuple(bits)))
+    return FunctionSet(fns)
+
+
 class Deadline:
     def __init__(self, seconds):
         self.start = time.monotonic()

@@ -1,6 +1,7 @@
 """Clone identification, lattice inclusion, classification dispatch and
 representation synthesis."""
 
+import heapq
 import itertools
 import json
 import random
@@ -20,9 +21,11 @@ from cloneabd.lattice import (CloneId, all_clone_ids, base_of,
                               signature_of, synthesize_representation)
 from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IMPLIES, MAJ3,
                                  NOT, OR, XNOR, XOR, XOR3, FunctionSet,
-                                 TruthTable, dual_fn, parse_function_line)
+                                 TruthTable, compose, dual_fn,
+                                 parse_function_line, projection_mask,
+                                 table_to_mask)
 
-from conftest import AND_OR, OR_AND, Deadline
+from conftest import AND_OR, OR_AND, Deadline, random_connectives
 
 
 def C(name):
@@ -317,6 +320,70 @@ def test_synthesis_output_is_pinned():
         if got != case["result"]:
             wrong.append((case["clone"], target.name, case["budget"], got))
     assert not wrong, wrong[:5]
+
+
+def _synthesis_by_products(fns, target, budget):
+    """The rendered witness of a plain uniform-cost search: each settled
+    table composes, one at a time, every tuple over the settled tables
+    that holds it, and pushes each unsettled one, with no folding, no size
+    bounds and no symmetry; the budget counts the same tuples."""
+    m = target.arity
+    heap = [(1, f"x{j + 1}", projection_mask(j, m)) for j in range(m)]
+    heap += [(1, f"({f.name})", compose(f, (), m)) for f in fns
+             if f.arity == 0]
+    heapq.heapify(heap)
+    settled = {}  # mask -> (size, text)
+    expansions = 0
+    while heap:
+        size, text, mask = heapq.heappop(heap)
+        if mask in settled:
+            continue
+        if mask == table_to_mask(target):
+            return text
+        n = len(settled)
+        settled[mask] = (size, text)
+        for f in fns:
+            expansions += (n + 1) ** f.arity - n ** f.arity
+            if expansions > budget:
+                raise ResourceBudgetError(
+                    f"synthesis budget {budget} exceeded")
+            for t in itertools.product(settled, repeat=f.arity):
+                if mask not in t:
+                    continue
+                new_mask = compose(f, t, m)
+                if new_mask not in settled:
+                    args = [settled[c] for c in t]
+                    heapq.heappush(heap, (
+                        1 + sum(a[0] for a in args),
+                        "(" + " ".join([f.name] + [a[1] for a in args]) + ")",
+                        new_mask))
+    raise NoRepresentationError(
+        f"{target.name!r} is not generated by the given connectives at "
+        f"arity {m}")
+
+
+def _outcome(search, fns, target, budget):
+    try:
+        return search(fns, target, budget)
+    except AbdError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_synthesis_equals_the_plain_search():
+    # random bases mixing commutative and other binary connectives,
+    # ternary connectives and constants; targets of arity 1-3 at small
+    # and default budgets
+    rng = random.Random(25)
+    for _ in range(120):
+        fns = random_connectives(rng, (0, 1, 2, 2, 2, 3))
+        m = rng.randint(1, 3)
+        target = TruthTable("t", m, tuple(rng.getrandbits(1)
+                                          for _ in range(1 << m)))
+        budget = rng.choice((rng.randint(0, 300), 200000))
+        got = _outcome(lambda *a: render_formula(
+            synthesize_representation(*a)), fns, target, budget)
+        assert got == _outcome(_synthesis_by_products, fns, target,
+                               budget), (fns.functions, target.bits, budget)
 
 
 def test_synthesis_budget_bounds_the_work(tmp_path, capsys):

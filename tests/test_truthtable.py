@@ -9,14 +9,15 @@ from cloneabd.errors import InputError, ResourceBudgetError
 from cloneabd.truthtable import (AND, ANDNOT, CONST0, CONST1, IDENTITY,
                                  IMPLIES, MAJ3, NOT, OR, XNOR, XOR, XOR3,
                                  FunctionSet, TruthTable, clone_closure,
-                                 clone_closure_masks, compose, dual_fn,
+                                 clone_closure_masks, cofactor_rows,
+                                 commutative, compose, dual_fn,
                                  eval_fn, fresh_compositions,
                                  function_properties,
                                  mask_to_table, parse_function_line,
                                  parse_function_set, projection_mask,
                                  row_assignment, row_index, separating_degree)
 
-from conftest import OR_AND
+from conftest import OR_AND, random_connectives
 
 
 def test_row_index_convention():
@@ -248,27 +249,85 @@ def test_clone_closure_bf_ternary_is_everything():
     assert masks == set(range(256))
 
 
+def _closure_by_products(fns, m):
+    """The arity-m closure of fns without folding or symmetry: each round
+    composes, one at a time, every tuple over the known tables that holds
+    one found in the round before."""
+    known = {projection_mask(j, m) for j in range(m)}
+    frontier = set(known)
+    while frontier:
+        found = set()
+        for f in fns:
+            for t in product(known, repeat=f.arity):
+                if f.arity == 0 or any(c in frontier for c in t):
+                    found.add(compose(f, t, m))
+        frontier = found - known
+        known |= frontier
+    return known
+
+
+def test_clone_closure_equals_the_product_fixpoint():
+    # random bases mixing commutative and other binary connectives,
+    # constants, negation and (at m <= 2, where the products stay small)
+    # ternary connectives
+    rng = random.Random(25)
+    for case in range(40):
+        m = 1 + case % 3
+        fns = random_connectives(
+            rng, (0, 1, 2, 2, 2, 3) if m < 3 else (0, 1, 2, 2))
+        assert clone_closure_masks(fns, m) == _closure_by_products(fns, m), \
+            (fns.functions, m)
+
+
 def test_fresh_compositions_are_the_unknown_tuples_holding_a_new_mask():
-    # exactly the tuples over old | new that hold a member of new, each
-    # once, with their composition, where that composition is not known
+    # against every tuple over old | new: exactly those that hold a member
+    # of new, each once, with their composition and size, where the size
+    # is within the composition's bound; of a commutative f's tuple and its
+    # mirror, only the one with a new mask first
     rng = random.Random(17)
-    for _ in range(400):
+    for _ in range(600):
         k, m = rng.randint(0, 3), rng.randint(1, 4)
         f = TruthTable("f", k, tuple(rng.getrandbits(1)
                                      for _ in range(1 << k)))
         masks = rng.sample(range(1 << (1 << m)), min(7, 1 << (1 << m)))
+        size = {c: rng.randint(1, 4) for c in masks}
         cut = rng.randint(0, len(masks))
         old, new = masks[:cut], masks[cut:rng.randint(cut, len(masks))]
         tuples = [t for t in product(old + new, repeat=k)
                   if any(c in new for c in t)]
         composed = {compose(f, t, m) for t in tuples}
-        known = {mask for mask in composed if rng.random() < 0.5}
-        known.update(rng.getrandbits(1 << m) for _ in range(3))
-        got = list(fresh_compositions(f, old, new, m, known))
-        expected = [(t, compose(f, t, m)) for t in tuples
-                    if compose(f, t, m) not in known]
-        assert len(got) == len({t for t, _ in got})
+        bound = {mask: rng.randint(0, 14) for mask in composed
+                 if rng.random() < 0.5}
+        bound.update((rng.getrandbits(1 << m), 0) for _ in range(3))
+        expected = []
+        for t in tuples:
+            mask, t_size = compose(f, t, m), 1 + sum(size[c] for c in t)
+            if commutative(f) and t[0] not in new:
+                assert compose(f, t[::-1], m) == mask
+                continue
+            if t_size <= bound.get(mask, t_size):
+                expected.append((t, mask, t_size))
+        pools = ([(c, size[c]) for c in old], [(c, size[c]) for c in new])
+        got = list(fresh_compositions(cofactor_rows(f, m), *pools, bound))
+        assert len(got) == len({t for t, _, _ in got})
         assert sorted(got) == sorted(expected), (f.bits, old, new, m)
+        # the bound is read as the tuples are made: closing each table on
+        # its first tuple gives every passing composition once
+        firsts = []
+        for _, mask, _ in fresh_compositions(cofactor_rows(f, m), *pools,
+                                             bound):
+            firsts.append(mask)
+            bound[mask] = 0
+        assert sorted(firsts) == sorted({mask for _, mask, _ in expected})
+
+
+def test_commutative_connectives_fold_one_position():
+    assert [commutative(f) for f in (AND, OR, XOR, XNOR, IMPLIES, ANDNOT,
+                                     NOT, MAJ3, CONST1)] == \
+        [True, True, True, True, False, False, False, False, False]
+    assert len(cofactor_rows(AND, 3)) == 1
+    assert len(cofactor_rows(IMPLIES, 3)) == 2
+    assert len(cofactor_rows(MAJ3, 3)) == 3
 
 
 def test_clone_closure_budget():
